@@ -29,6 +29,8 @@ def _far_tail_intensity(x, n):
     taken about the mean, so nothing cancels however small it is.
     """
     u = x * x
+    if math.isinf(u):
+        return 0.0  # the intensity's limit; log(n / u) below would warn
     keep = min(80.0 / math.log1p((u - n) / n), math.sqrt(160.0 * n)) + 2
     m = n if keep >= n else int(keep)
     log_r = np.concatenate(([0.0], np.cumsum(np.log(np.arange(n, n - m, -1) / u))))

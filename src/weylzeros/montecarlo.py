@@ -8,9 +8,12 @@ reductions assemble per-trial arrays by index, so results are bit-identical
 for any worker count.
 """
 
+import ctypes
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
@@ -23,6 +26,7 @@ from .dists import CoefficientDistribution, _from_uniforms, trial_stream
 from .errors import ConfigError, NumericalInstabilityError, ResourceBudgetError
 from .roots import (
     DEFAULT_H0,
+    METRIC_REFINE_CUTOFF,
     GridKernel,
     IntervalSpec,
     _hunt_same_sign_cell,
@@ -133,73 +137,113 @@ class _TrialEngine:
                 raise ConfigError("block width below scan resolution")
 
     def coefficients(self, lo, hi):
-        """(n+1, hi-lo) coefficient matrix, one counter-based stream per trial."""
+        """(n+1, _CHUNK) coefficient matrix, one counter-based stream per trial
+        in columns 0..hi-lo-1 and zeros after them (a transposed row-major
+        array, so each trial's coefficients are contiguous)."""
         n1 = self.config.n + 1
-        out = np.empty((n1, hi - lo))
+        out = np.zeros((_CHUNK, n1))
         for t in range(lo, hi):
             u = trial_stream(self.config.seed, t).random(n1)
-            out[:, t - lo] = _from_uniforms(self.config.dist, u)
-        return out
+            out[t - lo] = _from_uniforms(self.config.dist, u)
+        return out.T
 
     def count_chunk(self, lo, hi):
+        # GEMM bits of a column depend on the block width, so every block is
+        # _CHUNK wide: a trial's values never depend on the total trial count
         xi = self.coefficients(lo, hi)
         p, dp = self.kernel.values(xi)
+        xi, p, dp = xi[:, : hi - lo], p[:, : hi - lo], dp[:, : hi - lo]
         neg = p < 0.0
         flips = neg[1:] != neg[:-1]
         counts = flips.sum(axis=0).astype(np.int32)
+        metric = np.abs(p) + np.abs(dp)
         valid = (
             (np.abs(p[0]) > self.delta)
             & (np.abs(p[-1]) > self.delta)
-            & ((np.abs(p) + np.abs(dp)).min(axis=0) > self.delta)
+            & (metric.min(axis=0) > self.delta)
         )
         blocks = None
         if self.block_edges is not None:
             nb = self.block_edges.size - 1
             starts = np.searchsorted(self.cell_block, np.arange(nb), side="left")
             blocks = np.add.reduceat(flips, starts, axis=0).astype(np.int32)
-        self._refine_chunk(xi, p, dp, neg, counts, valid, blocks, lo)
-        self._refine_validity(xi, p, dp, valid)
+        self._refine_chunk(xi, p, dp, neg, counts, valid, blocks)
+        self._refine_validity(xi, metric, valid)
         return counts, valid, blocks
 
-    def _refine_chunk(self, xi, p, dp, neg, counts, valid, blocks, lo):
+    def _refine_chunk(self, xi, p, dp, neg, counts, valid, blocks):
         """Hunt rare same-sign cells that may hide near-double root pairs."""
         grid = self.kernel.grid
-        for t in range(p.shape[1]):
-            cells = _suspicious_cells(p[:, t], dp[:, t], neg[:, t], grid, self.delta)
-            if cells.size == 0:
-                continue
-            sample = WeylSample(self.config.n, xi[:, t])
-            f = _value_fn(sample)
-            for j in cells:
-                found, ambiguous = _hunt_same_sign_cell(
-                    f, grid[j], grid[j + 1], p[j, t], p[j + 1, t], self.delta
-                )
-                counts[t] += len(found)
-                if ambiguous:
-                    valid[t] = False
-                if blocks is not None:
-                    for r in found:
-                        b = np.clip(
-                            np.searchsorted(self.block_edges, r, side="right") - 1,
-                            0,
-                            blocks.shape[0] - 1,
-                        )
-                        blocks[b, t] += 1
+        value_fns = {}
+        for j, t in zip(*_suspicious_cells(p, dp, neg, grid, self.delta)):
+            if t not in value_fns:
+                value_fns[t] = _value_fn(WeylSample(self.config.n, xi[:, t]))
+            found, ambiguous = _hunt_same_sign_cell(
+                value_fns[t], grid[j], grid[j + 1], p[j, t], p[j + 1, t], self.delta
+            )
+            counts[t] += len(found)
+            if ambiguous:
+                valid[t] = False
+            if blocks is not None:
+                for r in found:
+                    b = np.clip(
+                        np.searchsorted(self.block_edges, r, side="right") - 1,
+                        0,
+                        blocks.shape[0] - 1,
+                    )
+                    blocks[b, t] += 1
 
-    def _refine_validity(self, xi, p, dp, valid):
+    def _refine_validity(self, xi, metric, valid):
         """Continuum |P| + |P'| can dip below the grid values near minima."""
-        metric = np.abs(p) + np.abs(dp)
-        cellmin = np.minimum(metric[1:], metric[:-1])
         grid = self.kernel.grid
-        for t in np.nonzero(valid)[0]:
-            cells = np.nonzero(cellmin[:, t] < 5e-3)[0]
-            if cells.size == 0:
-                continue
-            sample = WeylSample(self.config.n, xi[:, t])
-            for j in cells:
-                if _refined_metric_min(sample, grid[j], grid[j + 1]) <= self.delta:
-                    valid[t] = False
-                    break
+        near = (np.minimum(metric[1:], metric[:-1]) < METRIC_REFINE_CUTOFF) & valid
+        for t, j in zip(*np.nonzero(near.T)):
+            if valid[t] and _refined_metric_min(
+                WeylSample(self.config.n, xi[:, t]), grid[j], grid[j + 1]
+            ) <= self.delta:
+                valid[t] = False
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the engine's GEMMs on one BLAS thread (forked workers inherit it).
+
+    GEMM bits vary with the BLAS thread count, and the worker pool already
+    keeps every core busy.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 _ACTIVE_ENGINE: _TrialEngine | None = None
@@ -223,20 +267,18 @@ def _run_engine(engine: _TrialEngine):
     blocks = None if nb is None else np.empty((nb, config.trials), dtype=np.int32)
     _ACTIVE_ENGINE = engine
     try:
-        if workers == 1 or len(chunks) == 1:
-            results = map(_chunk_worker, chunks)
+        with _one_blas_thread(), ExitStack() as stack:
+            if workers == 1 or len(chunks) == 1:
+                results = map(_chunk_worker, chunks)
+            else:
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"))
+                )
+                results = pool.map(_chunk_worker, chunks)
             for (lo, hi), (c, v, b) in zip(chunks, results):
                 counts[lo:hi], valid[lo:hi] = c, v
                 if blocks is not None:
                     blocks[:, lo:hi] = b
-        else:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=get_context("fork")
-            ) as pool:
-                for (lo, hi), (c, v, b) in zip(chunks, pool.map(_chunk_worker, chunks)):
-                    counts[lo:hi], valid[lo:hi] = c, v
-                    if blocks is not None:
-                        blocks[:, lo:hi] = b
     finally:
         _ACTIVE_ENGINE = None
     return counts, valid, blocks

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .basis import TAU_DEFAULT, WeylSample, evaluate_at, window_bounds, _lgamma
 from .errors import ConfigError
@@ -25,7 +24,10 @@ _DIP_CURVATURE = 4.0
 
 # |p|+|p'| grid values above this never hide a sub-delta continuum minimum
 # at default deltas (delta <= 1e-5 in every supported configuration)
-_METRIC_REFINE_CUTOFF = 5e-3
+METRIC_REFINE_CUTOFF = 5e-3
+
+# scan-grid rows per dense GridKernel tile
+_TILE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,15 @@ class RootCountResult:
 
 
 class GridKernel:
-    """Precomputed banded basis matrices on a fixed scan grid.
+    """Precomputed basis weights on a fixed scan grid, in dense row tiles.
 
-    Row j holds the window weights at grid[j]; value and derivative matrices
-    give (P, P') for one coefficient vector, or for a whole batch at once, as
-    sparse-dense products.  Construction is done once per configuration and
-    shared read-only across trials.
+    Row j holds the window weights at grid[j].  The grid is cut into tiles of
+    `_TILE_ROWS` consecutive rows; each tile is one dense array, its value
+    rows stacked on its derivative rows, over the union of its rows' index
+    windows (entries outside a row's own window are 0).  One GEMM per tile
+    gives (P, P') for one coefficient vector, or for a whole batch at once.
+    Construction is done once per configuration and shared read-only across
+    trials.
     """
 
     def __init__(self, n, a, b, h0=DEFAULT_H0, tau=TAU_DEFAULT):
@@ -104,34 +109,48 @@ class GridKernel:
         self._build()
 
     def _build(self):
-        n = self.n
-        los, his = [], []
-        for x in self.grid:
-            lo, hi, _ = window_bounds(x, n, self.tau)
-            los.append(lo)
-            his.append(hi)
-        counts = np.array(his) - np.array(los) + 1
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        idx = np.concatenate([np.arange(lo, hi + 1) for lo, hi in zip(los, his)])
-        xr = np.repeat(self.grid, counts)
-        lgam = _lgamma(idx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = -0.5 * xr * xr + idx * np.log(xr) - 0.5 * lgam
-            data = np.where(logw > -700.0, np.exp(np.maximum(logw, -700.0)), 0.0)
-            ddata = np.where(xr > 0, data * (idx - xr * xr) / np.where(xr > 0, xr, 1.0), 0.0)
-        if self.grid[0] == 0.0:  # P(0) = xi_0, P'(0) = xi_1
-            data[indptr[0] : indptr[1]] = 0.0
-            ddata[indptr[0] : indptr[1]] = 0.0
-            data[indptr[0]] = 1.0
-            if n >= 1:
-                ddata[indptr[0] + 1] = 1.0
-        shape = (self.grid.size, n + 1)
-        self.value_matrix = csr_matrix((data, idx, indptr), shape=shape)
-        self.deriv_matrix = csr_matrix((ddata, idx, indptr), shape=shape)
+        bounds = np.array([window_bounds(x, self.n, self.tau)[:2] for x in self.grid])
+        self.tiles = []  # (first row, first index, stacked value/derivative block)
+        for r0 in range(0, self.grid.size, _TILE_ROWS):
+            lo, hi = bounds[r0 : r0 + _TILE_ROWS].T
+            i0 = int(lo.min())
+            w, dw = _weight_block(self.grid[r0 : r0 + _TILE_ROWS], i0, int(hi.max()), lo, hi)
+            self.tiles.append((r0, i0, np.concatenate([w, dw])))
 
     def values(self, coeffs):
         """(P, P') on the grid; `coeffs` is (n+1,) or (n+1, batch)."""
-        return self.value_matrix @ coeffs, self.deriv_matrix @ coeffs
+        shape = (self.grid.size,) + np.shape(coeffs)[1:]
+        p, dp = np.empty(shape), np.empty(shape)
+        for r0, i0, tile in self.tiles:
+            rows = tile.shape[0] // 2
+            out = tile @ coeffs[i0 : i0 + tile.shape[1]]
+            p[r0 : r0 + rows] = out[:rows]
+            dp[r0 : r0 + rows] = out[rows:]
+        return p, dp
+
+
+def _weight_block(xs, i_lo, i_hi, row_lo=None, row_hi=None):
+    """Value and derivative weights of indices i_lo..i_hi at each abscissa in xs.
+
+    Row k is zero outside [row_lo[k], row_hi[k]] when those are given.  A row
+    at x = 0 follows P(0) = xi_0, P'(0) = xi_1 (it needs i_lo = 0).
+    """
+    idx = np.arange(i_lo, i_hi + 1)
+    x = np.asarray(xs, dtype=float)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logw = -0.5 * x * x + idx * np.log(x) - 0.5 * _lgamma(idx)
+        keep = logw > -700.0
+        if row_lo is not None:
+            keep &= (idx >= row_lo[:, None]) & (idx <= row_hi[:, None])
+        w = np.where(keep, np.exp(np.maximum(logw, -700.0)), 0.0)
+        dw = np.where(x > 0, w * (idx - x * x) / np.where(x > 0, x, 1.0), 0.0)
+    origin = x[:, 0] == 0.0
+    if origin.any():
+        w[origin], dw[origin] = 0.0, 0.0
+        w[origin, 0] = 1.0
+        if idx.size > 1:
+            dw[origin, 1] = 1.0
+    return w, dw
 
 
 def _bisect_root(f, lo, hi, flo, xtol=BISECT_XTOL):
@@ -194,7 +213,8 @@ def count_sign_changes(sample: WeylSample, iv: IntervalSpec, h0=DEFAULT_H0,
     flips = np.nonzero(neg[1:] != neg[:-1])[0]
     roots = [_bisect_root(f, grid[j], grid[j + 1], p[j]) for j in flips]
     ambiguous = False
-    for j in _suspicious_cells(p, dp, neg, grid, delta):
+    (cells,) = _suspicious_cells(p, dp, neg, grid, delta)
+    for j in cells:
         found, amb = _hunt_same_sign_cell(f, grid[j], grid[j + 1], p[j], p[j + 1], delta)
         roots.extend(found)
         ambiguous = ambiguous or amb
@@ -206,15 +226,20 @@ def count_sign_changes(sample: WeylSample, iv: IntervalSpec, h0=DEFAULT_H0,
 
 def _suspicious_cells(p, dp, neg, grid, delta):
     """Same-sign cells worth hunting: tiny endpoint values, or an interior
-    extremum whose endpoint value is within dip range of zero."""
+    extremum whose endpoint value is within dip range of zero.
+
+    The grid runs along axis 0 of `p`, `dp` and `neg`, which are (grid,) or
+    (grid, batch); returns the np.nonzero tuple, (cells,) or (cells, trials).
+    """
     h = grid[1] - grid[0] if grid.size > 1 else 0.0
     same = neg[1:] == neg[:-1]
-    end_min = np.minimum(np.abs(p[1:]), np.abs(p[:-1]))
-    tiny_both = np.maximum(np.abs(p[1:]), np.abs(p[:-1])) < 10.0 * delta
+    ap = np.abs(p)
+    end_min = np.minimum(ap[1:], ap[:-1])
+    tiny_both = np.maximum(ap[1:], ap[:-1]) < 10.0 * delta
     dneg = dp < 0
     extremum = dneg[1:] != dneg[:-1]
     dip_possible = end_min < _DIP_CURVATURE * h * h
-    return np.nonzero(same & (tiny_both | (extremum & dip_possible)))[0]
+    return np.nonzero(same & (tiny_both | (extremum & dip_possible)))
 
 
 def validity_check(sample: WeylSample, iv: IntervalSpec, delta,
@@ -230,7 +255,7 @@ def validity_check(sample: WeylSample, iv: IntervalSpec, delta,
     if metric.min() <= delta:
         return False
     grid = kernel.grid
-    cells = np.nonzero(np.minimum(metric[1:], metric[:-1]) < _METRIC_REFINE_CUTOFF)[0]
+    cells = np.nonzero(np.minimum(metric[1:], metric[:-1]) < METRIC_REFINE_CUTOFF)[0]
     for j in cells:
         if _refined_metric_min(sample, grid[j], grid[j + 1]) <= delta:
             return False
@@ -238,9 +263,18 @@ def validity_check(sample: WeylSample, iv: IntervalSpec, delta,
 
 
 def _refined_metric_min(sample, lo, hi, step=REFINE_FLOOR):
+    """Minimum of |P| + |P'| on the points lo, lo + step, ... of a grid cell.
+
+    All points share one weight block over the union of the windows at the
+    first and last point, so P and P' come from one product each.
+    """
     xs = np.arange(lo, hi + step, step)
-    vals = [sum(map(abs, evaluate_at(sample, x))) for x in xs]
-    return min(vals)
+    i_lo, i_hi, _ = window_bounds(xs[0], sample.n, TAU_DEFAULT)
+    i_lo2, i_hi2, _ = window_bounds(xs[-1], sample.n, TAU_DEFAULT)
+    i_lo, i_hi = min(i_lo, i_lo2), max(i_hi, i_hi2)
+    w, dw = _weight_block(xs, i_lo, i_hi)
+    c = sample.coeffs[i_lo : i_hi + 1]
+    return float((np.abs(w @ c) + np.abs(dw @ c)).min())
 
 
 def kac_rice_count(sample: WeylSample, iv: IntervalSpec, delta,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,15 @@ def test_bulk_pins_against_truncated_poisson_oracle():
 def test_nonfinite_input_raises():
     with pytest.raises(NumericalInstabilityError):
         gt.intensity_gaussian(float("nan"), 1000)
+
+
+def test_far_tail_overflow_is_silent_zero():
+    # x^2 overflows to inf: the limit 0.0, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gt.intensity_gaussian(1e200, 10) == 0.0
+        assert gt.intensity_gaussian(math.inf, 10) == 0.0
+        assert 0.0 < gt.intensity_gaussian(1e150, 10) < 1e-299
 
 
 def test_incomplete_gamma_regularized_range():

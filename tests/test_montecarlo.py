@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylzeros import dists, montecarlo as mc, roots
+from weylzeros import basis, dists, montecarlo as mc, roots
 from weylzeros.errors import ConfigError, NumericalInstabilityError, ResourceBudgetError
 
 
@@ -45,10 +47,43 @@ class TestDeterminism:
         assert np.array_equal(s1.per_trial_counts, s2.per_trial_counts)
         assert s1.mean == s2.mean and s1.se_mean == s2.se_mean
 
+    def test_short_last_chunk_matches_full_chunk(self):
+        # trials 256..299 end a 300-trial run in a 44-wide chunk and sit in a
+        # full 256-wide chunk of a 600-trial run
+        c1, v1, _ = mc._run_engine(mc._TrialEngine(make_config(trials=300)))
+        c2, v2, _ = mc._run_engine(mc._TrialEngine(make_config(trials=600)))
+        assert np.array_equal(c1, c2[:300]) and np.array_equal(v1, v2[:300])
+        # the products behind them agree bit for bit
+        engine = mc._TrialEngine(make_config(trials=600))
+        with mc._one_blas_thread():
+            short = engine.kernel.values(engine.coefficients(256, 300))
+            full = engine.kernel.values(engine.coefficients(256, 512))
+        for a, b in zip(short, full):
+            assert np.array_equal(a[:, :44], b[:, :44])
+
     def test_different_seeds_differ(self):
         a = mc.run_expectation(make_config(seed=1))
         b = mc.run_expectation(make_config(seed=2))
         assert not np.array_equal(a.per_trial_counts, b.per_trial_counts)
+
+
+@given(
+    st.sampled_from([dists.gaussian(), dists.rademacher(), dists.uniform_sym()]),
+    st.integers(0, 2**31),
+)
+@settings(max_examples=6, deadline=None)
+def test_property_engine_matches_per_sample(law, seed):
+    cfg = make_config(dist=law, seed=seed, trials=48)
+    engine = mc._TrialEngine(cfg)
+    counts, valid, _ = mc._run_engine(engine)
+    for t in range(cfg.trials):
+        xi = dists.sample(law, dists.trial_stream(seed, t), cfg.n + 1)
+        sample = basis.WeylSample(cfg.n, xi)
+        res = roots.count_sign_changes(sample, cfg.iv, kernel=engine.kernel)
+        ok = res.validity and roots.validity_check(sample, cfg.iv, cfg.delta, kernel=engine.kernel)
+        assert valid[t] == ok, t
+        if ok:
+            assert counts[t] == res.count, t
 
 
 class TestExpectation:

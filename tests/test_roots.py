@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from weylzeros import basis, dists, roots
@@ -175,3 +177,78 @@ def test_kernel_handles_origin():
     p, dp = k.values(c)
     assert p[0] == pytest.approx(2.0)
     assert dp[0] == pytest.approx(-1.0)
+
+
+@st.composite
+def kernel_configs(draw):
+    """(n, a, b, h0): grids of 65-160 rows, so at least two tiles, starting at
+    0, below basis.SMALL_X or in the bulk, and never past sqrt(n)."""
+    n = draw(st.integers(20, 1600))
+    root_n = math.sqrt(n)
+    start = draw(st.sampled_from(["origin", "small", "bulk"]))
+    if start == "origin":
+        a = 0.0
+    elif start == "small":
+        a = draw(st.floats(0.01, basis.SMALL_X - 0.01))
+    else:
+        a = draw(st.floats(basis.SMALL_X, root_n - 1.0))
+    b = draw(st.floats(min(a + 0.5, root_n), root_n))
+    rows = draw(st.integers(65, 160))
+    return n, a, b, (b - a) / rows
+
+
+@given(kernel_configs(), st.integers(0, 2**31))
+@settings(max_examples=30, deadline=None)
+def test_property_kernel_values_match_evaluate_at(cfg, seed):
+    n, a, b, h0 = cfg
+    k = roots.GridKernel(n, a, b, h0)
+    xi = np.stack([gaussian_sample(n, seed, t).coeffs for t in range(3)], axis=1)
+    p, dp = k.values(xi)
+    p1, dp1 = k.values(xi[:, 1])
+    assert p.shape == dp.shape == (k.grid.size, 3) and p1.shape == (k.grid.size,)
+    for j, x in enumerate(k.grid):
+        mass = 1.0 if x == 0.0 else basis.support_window(x, n).mass
+        for t in range(3):
+            ref = basis.evaluate_at(basis.WeylSample(n, xi[:, t]), x)
+            assert abs(p[j, t] - ref[0]) <= 1e-12 * mass, (x, t)
+            assert abs(dp[j, t] - ref[1]) <= 1e-12 * mass, (x, t)
+        assert abs(p1[j] - p[j, 1]) <= 1e-12 * mass and abs(dp1[j] - dp[j, 1]) <= 1e-12 * mass
+
+
+def per_point_metric_min(sample, lo, hi, step=roots.REFINE_FLOOR):
+    """Reference fine-grid minimum, one windowed evaluation per point, and a
+    bound on what summing the union of the end windows changes at any point:
+    the weight of every index in that union or in the point's own window but
+    not in both."""
+    xs = np.arange(lo, hi + step, step)
+    ends = [basis.window_bounds(x, sample.n, basis.TAU_DEFAULT) for x in (xs[0], xs[-1])]
+    union = np.arange(min(e[0] for e in ends), max(e[1] for e in ends) + 1)
+    vals, moved = [], 0.0
+    for x in xs:
+        vals.append(sum(map(abs, basis.evaluate_at(sample, x))))
+        i_lo, i_hi, _ = basis.window_bounds(x, sample.n, basis.TAU_DEFAULT)
+        idx = np.setxor1d(union, np.arange(i_lo, i_hi + 1))
+        if idx.size:
+            w = np.exp(basis.basis_log_weight(idx, x))
+            moved = max(moved, float(np.abs(sample.coeffs[idx]) @ (w + w * np.abs(idx - x * x) / x)))
+    return min(vals), moved
+
+
+@given(
+    st.integers(20, 1600),
+    st.sampled_from(["origin", "small", "bulk"]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**31),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_refined_metric_min_matches_per_point(n, start, u, seed):
+    h = roots.DEFAULT_H0
+    if start == "origin":
+        lo = 0.0
+    elif start == "small":
+        lo = 0.01 + u * (basis.SMALL_X - 0.01)
+    else:
+        lo = basis.SMALL_X + u * (math.sqrt(n) - h - basis.SMALL_X)
+    sample = gaussian_sample(n, seed)
+    ref, moved = per_point_metric_min(sample, lo, lo + h)
+    assert abs(roots._refined_metric_min(sample, lo, lo + h) - ref) <= moved + 1e-12
