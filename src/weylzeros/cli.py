@@ -226,7 +226,7 @@ def run_expect(params, seed, workers, out):
 
 def run_variance(params, seed, workers, out):
     cfg = _mc_config(params, _require_seed(seed), workers)
-    s = montecarlo.run_variance(cfg)
+    s = montecarlo.run_expectation(cfg)
     write_csv(
         out / "variance.csv",
         ["dist", "n", "a", "b", "trials", "var", "se_var", "theory_var", "z"],

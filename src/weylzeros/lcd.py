@@ -131,7 +131,7 @@ def _objective_1d(v, ds):
     return (dist_to_int(np.outer(ds, v)) ** 2).sum(axis=1)
 
 
-def lcd_search(query: LCDQuery, dist=None, profile_points=512) -> LCDResult:
+def lcd_search(query: LCDQuery, profile_points=512) -> LCDResult:
     """Certified coarse-to-fine scan for the smallest dilation with
     objective <= tau.
 
@@ -140,9 +140,6 @@ def lcd_search(query: LCDQuery, dist=None, profile_points=512) -> LCDResult:
     certifies the minimum to within Lambda * h * sqrt(d) / 2.  Coarse cells
     that cannot reach tau under that bound are never refined.  d_star is the
     smallest refined magnitude whose objective is <= tau, +inf if none.
-
-    `dist` is accepted for signature symmetry with the xi-norm bound and is
-    not used by the R/Z objective.
     """
     v = query.kept_weights()
     n = v.shape[0]

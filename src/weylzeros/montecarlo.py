@@ -361,14 +361,10 @@ def _jackknife_se_var(x):
 
 
 def run_expectation(config: ExperimentConfig) -> EstimateSummary:
-    """Mean root count against quadrature-plus-correction theory."""
+    """Mean and variance of the root count against their theory; the variance
+    carries a jackknife standard error."""
     counts, valid, _ = _run_engine(_TrialEngine(config))
     return _summarize(config, counts, valid)
-
-
-def run_variance(config: ExperimentConfig) -> EstimateSummary:
-    """Sample variance of the root count with jackknife standard error."""
-    return run_expectation(config)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import TAU_DEFAULT, WeylSample, evaluate_at, window_bounds, _lgamma
+from .basis import TAU_DEFAULT, WeylSample, evaluate_at, log_factorial, window_bounds
 from .errors import ConfigError
 
 DEFAULT_H0 = 0.02
@@ -113,9 +113,11 @@ class GridKernel:
         self.tiles = []  # (first row, first index, stacked value/derivative block)
         for r0 in range(0, self.grid.size, _TILE_ROWS):
             lo, hi = bounds[r0 : r0 + _TILE_ROWS].T
-            i0 = int(lo.min())
-            w, dw = _weight_block(self.grid[r0 : r0 + _TILE_ROWS], i0, int(hi.max()), lo, hi)
-            self.tiles.append((r0, i0, np.concatenate([w, dw])))
+            idx = np.arange(int(lo.min()), int(hi.max()) + 1)
+            w, dw = _weight_block(
+                self.grid[r0 : r0 + _TILE_ROWS], idx, 0.5 * log_factorial(idx), lo, hi
+            )
+            self.tiles.append((r0, idx[0], np.concatenate([w, dw])))
 
     def values(self, coeffs):
         """(P, P') on the grid; `coeffs` is (n+1,) or (n+1, batch)."""
@@ -129,16 +131,16 @@ class GridKernel:
         return p, dp
 
 
-def _weight_block(xs, i_lo, i_hi, row_lo=None, row_hi=None):
-    """Value and derivative weights of indices i_lo..i_hi at each abscissa in xs.
+def _weight_block(xs, idx, half_log_fact, row_lo=None, row_hi=None):
+    """Value and derivative weights of the consecutive indices `idx` at each
+    abscissa in xs; `half_log_fact` is 0.5 * log_factorial(idx).
 
     Row k is zero outside [row_lo[k], row_hi[k]] when those are given.  A row
-    at x = 0 follows P(0) = xi_0, P'(0) = xi_1 (it needs i_lo = 0).
+    at x = 0 follows P(0) = xi_0, P'(0) = xi_1 (it needs idx[0] = 0).
     """
-    idx = np.arange(i_lo, i_hi + 1)
     x = np.asarray(xs, dtype=float)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        logw = -0.5 * x * x + idx * np.log(x) - 0.5 * _lgamma(idx)
+        logw = -0.5 * x * x + idx * np.log(x) - half_log_fact
         keep = logw > -700.0
         if row_lo is not None:
             keep &= (idx >= row_lo[:, None]) & (idx <= row_hi[:, None])
@@ -151,6 +153,56 @@ def _weight_block(xs, i_lo, i_hi, row_lo=None, row_hi=None):
         if idx.size > 1:
             dw[origin, 1] = 1.0
     return w, dw
+
+
+class LocalEvaluator:
+    """(P, P') of one sample at points of a span [lo, hi], from one window.
+
+    The index window is the union of `window_bounds` at lo and at hi, taken
+    once; its indices, half log-factorials and coefficient slice are kept, so
+    a call at a scalar or a vector of points is one exp and two dot products.
+    At a point where the two rules differ, the union sums terms that the
+    point's own window cuts, or drops terms it keeps; both weigh no more
+    than the window cut.  Points outside [lo, hi] fall back to `evaluate_at`.
+    """
+
+    def __init__(self, sample: WeylSample, lo, hi):
+        i_lo, i_hi, _ = window_bounds(lo, sample.n, TAU_DEFAULT)
+        i_lo2, i_hi2, _ = window_bounds(hi, sample.n, TAU_DEFAULT)
+        i_lo, i_hi = min(i_lo, i_lo2), max(i_hi, i_hi2)
+        self.idx = np.arange(i_lo, i_hi + 1, dtype=float)
+        self.half_log_fact = 0.5 * log_factorial(np.arange(i_lo, i_hi + 1))
+        self.coeffs = sample.coeffs[i_lo : i_hi + 1]
+        self.sample, self.lo, self.hi = sample, lo, hi
+
+    def __call__(self, x):
+        """(p, dp) as floats at a scalar x, as arrays at a vector of points."""
+        if np.ndim(x) == 0:
+            if not (0.0 < x and self.lo <= x <= self.hi):
+                p, dp = self(np.array([x], dtype=float))
+                return float(p[0]), float(dp[0])
+            w = self._weights(x)
+            dw = w * (self.idx - x * x) / x
+            return float(w @ self.coeffs), float(dw @ self.coeffs)
+        xs = np.asarray(x, dtype=float)
+        inside = (xs >= self.lo) & (xs <= self.hi)
+        p, dp = np.empty(xs.shape), np.empty(xs.shape)
+        w, dw = _weight_block(xs[inside], self.idx, self.half_log_fact)
+        p[inside], dp[inside] = w @ self.coeffs, dw @ self.coeffs
+        for k in np.flatnonzero(~inside):
+            p[k], dp[k] = evaluate_at(self.sample, xs[k])
+        return p, dp
+
+    def value(self, x):
+        """P alone at a scalar x."""
+        if 0.0 < x and self.lo <= x <= self.hi:
+            return float(self._weights(x) @ self.coeffs)
+        return self(x)[0]
+
+    def _weights(self, x):
+        # one row of _weight_block at a scalar 0 < x, without its array set-up
+        # and guards (exp underflows to 0 silently)
+        return np.exp(-0.5 * x * x + self.idx * math.log(x) - self.half_log_fact)
 
 
 def _bisect_root(f, lo, hi, flo, xtol=BISECT_XTOL):
@@ -198,21 +250,24 @@ def count_sign_changes(sample: WeylSample, iv: IntervalSpec, h0=DEFAULT_H0,
                        kernel: GridKernel | None = None, theta=DEFAULT_THETA):
     """Roots of the sample in [a, b) by grid scan plus bisection refinement.
 
-    Bracketing cells are bisected to abscissa tolerance 1e-10; same-sign cells
-    that could hide a near-double pair (both endpoint values below 10*delta,
-    or an interior extremum with a small endpoint value) are recursively
-    halved down to step 1e-4.
+    Bracketing cells are bisected to abscissa tolerance 1e-10, each on its own
+    `LocalEvaluator`; same-sign cells that could hide a near-double pair (both
+    endpoint values below 10*delta, or an interior extremum with a small
+    endpoint value) are recursively halved down to step 1e-4.
     """
     if kernel is None:
         kernel = GridKernel(sample.n, iv.a, iv.b, h0)
     delta = iv.delta(theta)
     p, dp = kernel.values(sample.coeffs)
-    f = _value_fn(sample)
     grid = kernel.grid
     neg = p < 0
     flips = np.nonzero(neg[1:] != neg[:-1])[0]
-    roots = [_bisect_root(f, grid[j], grid[j + 1], p[j]) for j in flips]
+    roots = []
+    for j in flips:
+        cell = LocalEvaluator(sample, grid[j], grid[j + 1])
+        roots.append(_bisect_root(cell.value, grid[j], grid[j + 1], p[j]))
     ambiguous = False
+    f = _value_fn(sample)
     (cells,) = _suspicious_cells(p, dp, neg, grid, delta)
     for j in cells:
         found, amb = _hunt_same_sign_cell(f, grid[j], grid[j + 1], p[j], p[j + 1], delta)
@@ -265,16 +320,12 @@ def validity_check(sample: WeylSample, iv: IntervalSpec, delta,
 def _refined_metric_min(sample, lo, hi, step=REFINE_FLOOR):
     """Minimum of |P| + |P'| on the points lo, lo + step, ... of a grid cell.
 
-    All points share one weight block over the union of the windows at the
-    first and last point, so P and P' come from one product each.
+    All points share one `LocalEvaluator` from the first to the last point,
+    so P and P' come from one product each.
     """
     xs = np.arange(lo, hi + step, step)
-    i_lo, i_hi, _ = window_bounds(xs[0], sample.n, TAU_DEFAULT)
-    i_lo2, i_hi2, _ = window_bounds(xs[-1], sample.n, TAU_DEFAULT)
-    i_lo, i_hi = min(i_lo, i_lo2), max(i_hi, i_hi2)
-    w, dw = _weight_block(xs, i_lo, i_hi)
-    c = sample.coeffs[i_lo : i_hi + 1]
-    return float((np.abs(w @ c) + np.abs(dw @ c)).min())
+    p, dp = LocalEvaluator(sample, xs[0], xs[-1])(xs)
+    return float((np.abs(p) + np.abs(dp)).min())
 
 
 def kac_rice_count(sample: WeylSample, iv: IntervalSpec, delta,
@@ -284,25 +335,27 @@ def kac_rice_count(sample: WeylSample, iv: IntervalSpec, delta,
 
     Each detected root's excursion boundaries are located by bisection on
     |P| - delta, then |P'| is integrated over the excursion with adaptive
-    Gauss-Legendre panels to 1e-6 relative.
+    Gauss-Legendre panels to 1e-6 relative.  Both use one `LocalEvaluator`
+    per root, on [root - h0, root + h0] clipped to [a, b]; the first step out
+    of the root is delta / |P'(root)|, from one `evaluate_at` per root.
     """
     if delta <= 0:
         raise ConfigError("delta must be > 0")
     if roots is None:
         roots = count_sign_changes(sample, iv, h0, kernel=kernel).roots
-    f = _value_fn(sample)
     total = 0.0
     for r in roots:
-        xl = _excursion_boundary(sample, f, r, delta, -1, iv.a)
-        xr = _excursion_boundary(sample, f, r, delta, +1, iv.b)
-        total += _integrate_abs_deriv(sample, xl, xr)
+        ev = LocalEvaluator(sample, max(iv.a, r - h0), min(iv.b, r + h0))
+        step = delta / max(abs(evaluate_at(sample, r)[1]), 1e-12)
+        xl = _excursion_boundary(ev.value, r, step, delta, -1, iv.a)
+        xr = _excursion_boundary(ev.value, r, step, delta, +1, iv.b)
+        total += _integrate_abs_deriv(ev, xl, xr)
     return total / (2.0 * delta)
 
 
-def _excursion_boundary(sample, f, root, delta, direction, limit):
-    """Abscissa where |P| grows back to delta on one side of a root."""
-    dp = abs(evaluate_at(sample, root)[1])
-    step = delta / max(dp, 1e-12)
+def _excursion_boundary(f, root, step, delta, direction, limit):
+    """Abscissa where |f| grows back to delta on one side of a root, searched
+    outwards from `step` in doubling steps, then bisected."""
     x = root
     for _ in range(200):
         x_next = root + direction * step
@@ -317,9 +370,12 @@ def _excursion_boundary(sample, f, root, delta, direction, limit):
     if x_next == limit and abs(f(limit)) < delta:
         return limit
     lo, hi = (x_next, x) if direction < 0 else (x, x_next)
-    # bisect |P| - delta; inside end is < 0 by construction
+    # bisect |P| - delta; inside end is < 0 by construction.  Once mid is lo
+    # or hi, every further step returns the same mid, so stopping is exact.
     for _ in range(64):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         inside = abs(f(mid)) < delta
         if direction < 0:
             if inside:
@@ -337,23 +393,22 @@ def _excursion_boundary(sample, f, root, delta, direction, limit):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _abs_deriv_panel(sample, lo, hi):
+def _abs_deriv_panel(ev, lo, hi):
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    vals = [abs(evaluate_at(sample, mid + half * t)[1]) for t in _GL_NODES]
-    return half * float(_GL_WEIGHTS @ vals)
+    return half * float(_GL_WEIGHTS @ np.abs(ev(mid + half * _GL_NODES)[1]))
 
 
-def _integrate_abs_deriv(sample, lo, hi, rel=1e-6, max_depth=12):
+def _integrate_abs_deriv(ev, lo, hi, rel=1e-6, max_depth=12):
     if hi <= lo:
         return 0.0
-    whole = _abs_deriv_panel(sample, lo, hi)
+    whole = _abs_deriv_panel(ev, lo, hi)
     stack = [(lo, hi, whole, 0)]
     total = 0.0
     while stack:
         a, b, coarse, depth = stack.pop()
         m = 0.5 * (a + b)
-        left = _abs_deriv_panel(sample, a, m)
-        right = _abs_deriv_panel(sample, m, b)
+        left = _abs_deriv_panel(ev, a, m)
+        right = _abs_deriv_panel(ev, m, b)
         fine = left + right
         if abs(fine - coarse) <= rel * max(abs(fine), 1e-300) or depth >= max_depth:
             total += fine

@@ -280,7 +280,7 @@ def variance_runs():
             n=1600, iv=roots.IntervalSpec(5.0, 35.0), dist=law,
             trials=10_000, seed=907, workers=0,
         )
-        out[law.kind] = mc.run_variance(cfg)
+        out[law.kind] = mc.run_expectation(cfg)
     return out
 
 

@@ -215,23 +215,40 @@ def test_property_kernel_values_match_evaluate_at(cfg, seed):
         assert abs(p1[j] - p[j, 1]) <= 1e-12 * mass and abs(dp1[j] - dp[j, 1]) <= 1e-12 * mass
 
 
+def union_window(n, lo, hi):
+    ends = [basis.window_bounds(x, n, basis.TAU_DEFAULT) for x in (lo, hi)]
+    return np.arange(min(e[0] for e in ends), max(e[1] for e in ends) + 1)
+
+
+def union_moved(sample, union, x):
+    """Bound on what summing the indices `union` in place of x's own window
+    changes in P and in P' at x: the weight of every index in one of the two
+    but not in both."""
+    i_lo, i_hi, _ = basis.window_bounds(x, sample.n, basis.TAU_DEFAULT)
+    idx = np.setxor1d(union, np.arange(i_lo, i_hi + 1))
+    if not idx.size:
+        return 0.0
+    w = np.exp(basis.basis_log_weight(idx, x))
+    return float(np.abs(sample.coeffs[idx]) @ (w + w * np.abs(idx - x * x) / x))
+
+
 def per_point_metric_min(sample, lo, hi, step=roots.REFINE_FLOOR):
     """Reference fine-grid minimum, one windowed evaluation per point, and a
-    bound on what summing the union of the end windows changes at any point:
-    the weight of every index in that union or in the point's own window but
-    not in both."""
+    bound on what summing the union of the end windows changes at any point."""
     xs = np.arange(lo, hi + step, step)
-    ends = [basis.window_bounds(x, sample.n, basis.TAU_DEFAULT) for x in (xs[0], xs[-1])]
-    union = np.arange(min(e[0] for e in ends), max(e[1] for e in ends) + 1)
-    vals, moved = [], 0.0
-    for x in xs:
-        vals.append(sum(map(abs, basis.evaluate_at(sample, x))))
-        i_lo, i_hi, _ = basis.window_bounds(x, sample.n, basis.TAU_DEFAULT)
-        idx = np.setxor1d(union, np.arange(i_lo, i_hi + 1))
-        if idx.size:
-            w = np.exp(basis.basis_log_weight(idx, x))
-            moved = max(moved, float(np.abs(sample.coeffs[idx]) @ (w + w * np.abs(idx - x * x) / x)))
-    return min(vals), moved
+    union = union_window(sample.n, xs[0], xs[-1])
+    vals = [sum(map(abs, basis.evaluate_at(sample, x))) for x in xs]
+    return min(vals), max(union_moved(sample, union, x) for x in xs)
+
+
+def span_start(n, start, u, width=roots.DEFAULT_H0):
+    """A span start at 0, below basis.SMALL_X or in the bulk, at least
+    `width` below sqrt(n)."""
+    if start == "origin":
+        return 0.0
+    if start == "small":
+        return 0.01 + u * (basis.SMALL_X - 0.01)
+    return basis.SMALL_X + u * (math.sqrt(n) - width - basis.SMALL_X)
 
 
 @given(
@@ -243,12 +260,86 @@ def per_point_metric_min(sample, lo, hi, step=roots.REFINE_FLOOR):
 @settings(max_examples=40, deadline=None)
 def test_property_refined_metric_min_matches_per_point(n, start, u, seed):
     h = roots.DEFAULT_H0
-    if start == "origin":
-        lo = 0.0
-    elif start == "small":
-        lo = 0.01 + u * (basis.SMALL_X - 0.01)
-    else:
-        lo = basis.SMALL_X + u * (math.sqrt(n) - h - basis.SMALL_X)
+    lo = span_start(n, start, u)
     sample = gaussian_sample(n, seed)
     ref, moved = per_point_metric_min(sample, lo, lo + h)
     assert abs(roots._refined_metric_min(sample, lo, lo + h) - ref) <= moved + 1e-12
+
+
+@given(
+    st.integers(20, 1600),
+    st.sampled_from(["origin", "small", "bulk"]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**31),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_local_evaluator_matches_evaluate_at(n, start, u, v, seed):
+    # spans up to four scan steps wide, as wide as a Kac-Rice span and more
+    lo = span_start(n, start, u)
+    hi = min(lo + v * 4 * roots.DEFAULT_H0, math.sqrt(n))
+    sample = gaussian_sample(n, seed)
+    ev = roots.LocalEvaluator(sample, lo, hi)
+    union = union_window(n, lo, hi)
+    xs = np.linspace(lo, hi, 9)
+    p, dp = ev(xs)
+    for k, x in enumerate(xs):
+        ref = basis.evaluate_at(sample, x)
+        bound = union_moved(sample, union, x) + 1e-12
+        scalar = ev(x)
+        for got in ((p[k], dp[k]), scalar):
+            assert abs(got[0] - ref[0]) <= bound and abs(got[1] - ref[1]) <= bound, (x, got, ref)
+        assert ev.value(x) == scalar[0]
+    # points outside the span are evaluate_at's own values
+    outside = np.array([x for x in (lo - 0.05, hi + 0.05) if 0.0 < x <= math.sqrt(n)])
+    po, dpo = ev(outside)
+    for k, x in enumerate(outside):
+        assert (po[k], dpo[k]) == basis.evaluate_at(sample, x) == ev(x)
+
+
+def full_excursion_boundary(f, root, step, delta, direction, limit):
+    """The excursion boundary search with all 64 bisection steps."""
+    x = root
+    for _ in range(200):
+        x_next = root + direction * step
+        if (direction < 0 and x_next <= limit) or (direction > 0 and x_next >= limit):
+            x_next = limit
+        if abs(f(x_next)) >= delta or x_next == limit:
+            break
+        x = x_next
+        step *= 2.0
+    else:
+        return limit
+    if x_next == limit and abs(f(limit)) < delta:
+        return limit
+    lo, hi = (x_next, x) if direction < 0 else (x, x_next)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if (abs(f(mid)) < delta) == (direction < 0):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+KR_IV = roots.IntervalSpec(2.0, 18.0)
+KR_KERNEL = roots.GridKernel(400, KR_IV.a, KR_IV.b)
+
+
+@given(
+    st.integers(0, 2**31),
+    st.sampled_from([dists.gaussian(), dists.rademacher(), dists.uniform_sym()]),
+    st.floats(-12.0, -1.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_property_excursion_early_stop_is_exact(seed, law, log_delta):
+    n, iv, h = 400, KR_IV, roots.DEFAULT_H0
+    delta = 10.0**log_delta
+    sample = basis.WeylSample(n, dists.sample(law, dists.trial_stream(seed, 0), n + 1))
+    for r in roots.count_sign_changes(sample, iv, kernel=KR_KERNEL).roots:
+        ev = roots.LocalEvaluator(sample, max(iv.a, r - h), min(iv.b, r + h))
+        step = delta / max(abs(basis.evaluate_at(sample, r)[1]), 1e-12)
+        for direction, limit in ((-1, iv.a), (+1, iv.b)):
+            got = roots._excursion_boundary(ev.value, r, step, delta, direction, limit)
+            ref = full_excursion_boundary(ev.value, r, step, delta, direction, limit)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes(), (r, direction)
