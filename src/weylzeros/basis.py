@@ -26,6 +26,11 @@ SMALL_X = 2.0
 
 _EXP_FLOOR = -700.0
 
+#: below this abscissa (P, P') are taken as (xi_0, xi_1), their values at 0,
+#: which they match to within 1e-150 of the coefficient scale; the floored
+#: log-weights would drop the x^1 term, whose derivative weight is about 1
+ORIGIN_X = 1e-150
+
 _log_factorial_cache = np.zeros(0)
 
 
@@ -154,8 +159,8 @@ def evaluate(sample: WeylSample, window: BasisWindow):
 
 
 def evaluate_at(sample: WeylSample, x, tau=TAU_DEFAULT):
-    """Windowed evaluation at a single abscissa; x = 0 handled directly."""
-    if x == 0.0:
+    """Windowed evaluation at a single abscissa; x < ORIGIN_X handled directly."""
+    if x < ORIGIN_X:
         return float(sample.coeffs[0]), float(sample.coeffs[1]) if sample.n >= 1 else 0.0
     return evaluate(sample, support_window(x, sample.n, tau))
 

@@ -20,16 +20,11 @@ _U_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class CoefficientDistribution:
-    """A mean-0, variance-1 coefficient law with exact m3 = E xi^3, m4 = E xi^4.
-
-    `subgaussian_proxy` stores E xi^8 for config sanity reporting only; nothing
-    gates on it.
-    """
+    """A mean-0, variance-1 coefficient law with exact m3 = E xi^3, m4 = E xi^4."""
 
     kind: str
     m3: float
     m4: float
-    subgaussian_proxy: float
     values: np.ndarray | None = field(default=None, repr=False)
     probs: np.ndarray | None = field(default=None, repr=False)
 
@@ -48,25 +43,23 @@ class CoefficientDistribution:
 
 
 def gaussian() -> CoefficientDistribution:
-    return CoefficientDistribution("gaussian", m3=0.0, m4=3.0, subgaussian_proxy=105.0)
+    return CoefficientDistribution("gaussian", m3=0.0, m4=3.0)
 
 
 def rademacher() -> CoefficientDistribution:
-    return CoefficientDistribution("rademacher", m3=0.0, m4=1.0, subgaussian_proxy=1.0)
+    return CoefficientDistribution("rademacher", m3=0.0, m4=1.0)
 
 
 def uniform_sym() -> CoefficientDistribution:
     # Uniform on (-sqrt(3), sqrt(3)): E x^(2k) = 3^k/(2k+1).
-    return CoefficientDistribution(
-        "uniform_sym", m3=0.0, m4=9.0 / 5.0, subgaussian_proxy=81.0 / 9.0
-    )
+    return CoefficientDistribution("uniform_sym", m3=0.0, m4=9.0 / 5.0)
 
 
 def discrete_sym(values, probs) -> CoefficientDistribution:
     """Build a discrete law from a (value, probability) table.
 
-    The table is rescaled to mean 0 and variance 1; m3, m4, and E xi^8 are then
-    computed exactly from the standardized table.
+    The table is rescaled to mean 0 and variance 1; m3 and m4 are then computed
+    exactly from the standardized table.
     """
     v = np.asarray(values, dtype=float)
     p = np.asarray(probs, dtype=float)
@@ -84,7 +77,6 @@ def discrete_sym(values, probs) -> CoefficientDistribution:
         "discrete_sym",
         m3=float(p @ z**3),
         m4=float(p @ z**4),
-        subgaussian_proxy=float(p @ z**8),
         values=z,
         probs=p,
     )

@@ -9,6 +9,7 @@ for any worker count.
 """
 
 import ctypes
+import dataclasses
 import functools
 import math
 import os
@@ -21,21 +22,17 @@ import numpy as np
 from scipy.stats import norm
 
 from . import edgeworth, gaussian_theory
-from .basis import WeylSample, support_window
+from .basis import support_window
 from .dists import CoefficientDistribution, _from_uniforms, trial_stream
 from .errors import ConfigError, NumericalInstabilityError, ResourceBudgetError
-from .roots import (
-    DEFAULT_H0,
-    METRIC_REFINE_CUTOFF,
-    GridKernel,
-    IntervalSpec,
-    _hunt_same_sign_cell,
-    _refined_metric_min,
-    _suspicious_cells,
-    _value_fn,
-)
+from .roots import DEFAULT_H0, GridKernel, IntervalSpec, scan_block
+
+# kept for perfbench/spans.py, which patches them (and trial_stream,
+# _from_uniforms, support_window) by name on this module
+from .roots import _hunt_same_sign_cell, _refined_metric_min, _suspicious_cells  # noqa: F401
 
 _CHUNK = 256
+_FLOP_BUDGET = 2e13
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -57,7 +54,6 @@ class ExperimentConfig:
     grid_step: float = DEFAULT_H0
     block_exponent: float = 0.3
     workers: int = 0
-    flop_budget: float = 2e13
 
     def __post_init__(self):
         if self.trials < 1:
@@ -68,9 +64,9 @@ class ExperimentConfig:
             raise ConfigError("block exponent must be in (0, 1/2)")
         self.iv.validate_for_degree(self.n)
         est = self.estimated_flops()
-        if est > self.flop_budget:
+        if est > _FLOP_BUDGET:
             raise ResourceBudgetError(
-                f"estimated cost {est:.2e} flops exceeds budget {self.flop_budget:.2e} "
+                f"estimated cost {est:.2e} flops exceeds budget {_FLOP_BUDGET:.2e} "
                 f"(trials={self.trials}, n={self.n}, interval={self.iv.a}..{self.iv.b}, "
                 f"h0={self.grid_step})"
             )
@@ -114,11 +110,9 @@ class EstimateSummary:
 
 
 class _TrialEngine:
-    """Counts roots for batches of trials on a shared scan grid.
-
-    Block edges, when set, yield per-trial block counts assigned by crossing
-    position (refined roots are assigned exactly; plain crossings by cell).
-    """
+    """Counts roots for batches of trials on a shared scan grid, with
+    `roots.scan_block`; block edges, when set, also yield per-trial block
+    counts."""
 
     def __init__(self, config: ExperimentConfig, block_edges=None):
         self.config = config
@@ -126,82 +120,33 @@ class _TrialEngine:
         self.delta = config.delta
         self.block_edges = None if block_edges is None else np.asarray(block_edges)
         if self.block_edges is not None:
-            mids = 0.5 * (self.kernel.grid[1:] + self.kernel.grid[:-1])
-            self.cell_block = np.clip(
-                np.searchsorted(self.block_edges, mids, side="right") - 1,
-                0,
-                self.block_edges.size - 2,
-            )
-            present = np.unique(self.cell_block)
-            if present.size != self.block_edges.size - 1:
-                raise ConfigError("block width below scan resolution")
+            self.kernel.block_starts(self.block_edges)  # a block too narrow raises here
 
     def coefficients(self, lo, hi):
-        """(n+1, _CHUNK) coefficient matrix, one counter-based stream per trial
-        in columns 0..hi-lo-1 and zeros after them (a transposed row-major
-        array, so each trial's coefficients are contiguous)."""
-        n1 = self.config.n + 1
-        out = np.zeros((_CHUNK, n1))
-        for t in range(lo, hi):
-            u = trial_stream(self.config.seed, t).random(n1)
-            out[t - lo] = _from_uniforms(self.config.dist, u)
-        return out.T
+        """(n+1, _CHUNK) coefficient matrix, trial lo + k in column k and zeros
+        after column hi-lo-1 (a transposed row-major array, so each trial's
+        coefficients are contiguous)."""
+        return _coefficient_rows(self.config, lo, hi, _CHUNK).T
 
     def count_chunk(self, lo, hi):
         # GEMM bits of a column depend on the block width, so every block is
         # _CHUNK wide: a trial's values never depend on the total trial count
         xi = self.coefficients(lo, hi)
         p, dp = self.kernel.values(xi)
-        xi, p, dp = xi[:, : hi - lo], p[:, : hi - lo], dp[:, : hi - lo]
-        neg = p < 0.0
-        flips = neg[1:] != neg[:-1]
-        counts = flips.sum(axis=0).astype(np.int32)
-        metric = np.abs(p) + np.abs(dp)
-        valid = (
-            (np.abs(p[0]) > self.delta)
-            & (np.abs(p[-1]) > self.delta)
-            & (metric.min(axis=0) > self.delta)
-        )
-        blocks = None
-        if self.block_edges is not None:
-            nb = self.block_edges.size - 1
-            starts = np.searchsorted(self.cell_block, np.arange(nb), side="left")
-            blocks = np.add.reduceat(flips, starts, axis=0).astype(np.int32)
-        self._refine_chunk(xi, p, dp, neg, counts, valid, blocks)
-        self._refine_validity(xi, metric, valid)
-        return counts, valid, blocks
+        real = slice(0, hi - lo)
+        scan = scan_block(self.kernel, xi[:, real], p[:, real], dp[:, real], self.delta,
+                          block_edges=self.block_edges)
+        return scan.counts, scan.valid, scan.blocks
 
-    def _refine_chunk(self, xi, p, dp, neg, counts, valid, blocks):
-        """Hunt rare same-sign cells that may hide near-double root pairs."""
-        grid = self.kernel.grid
-        value_fns = {}
-        for j, t in zip(*_suspicious_cells(p, dp, neg, grid, self.delta)):
-            if t not in value_fns:
-                value_fns[t] = _value_fn(WeylSample(self.config.n, xi[:, t]))
-            found, ambiguous = _hunt_same_sign_cell(
-                value_fns[t], grid[j], grid[j + 1], p[j, t], p[j + 1, t], self.delta
-            )
-            counts[t] += len(found)
-            if ambiguous:
-                valid[t] = False
-            if blocks is not None:
-                for r in found:
-                    b = np.clip(
-                        np.searchsorted(self.block_edges, r, side="right") - 1,
-                        0,
-                        blocks.shape[0] - 1,
-                    )
-                    blocks[b, t] += 1
 
-    def _refine_validity(self, xi, metric, valid):
-        """Continuum |P| + |P'| can dip below the grid values near minima."""
-        grid = self.kernel.grid
-        near = (np.minimum(metric[1:], metric[:-1]) < METRIC_REFINE_CUTOFF) & valid
-        for t, j in zip(*np.nonzero(near.T)):
-            if valid[t] and _refined_metric_min(
-                WeylSample(self.config.n, xi[:, t]), grid[j], grid[j + 1]
-            ) <= self.delta:
-                valid[t] = False
+def _coefficient_rows(config, lo, hi, rows):
+    """(rows, n+1) block whose row k holds trial lo + k's coefficients, drawn
+    from its own counter-based stream, for k < hi - lo; later rows are zero."""
+    n1 = config.n + 1
+    out = np.zeros((rows, n1))
+    for t in range(lo, hi):
+        out[t - lo] = _from_uniforms(config.dist, trial_stream(config.seed, t).random(n1))
+    return out
 
 
 @functools.cache
@@ -298,13 +243,9 @@ def _validity_policy(valid, trials):
     return fail_rate, warning
 
 
-_cw_cache = {}
-
-
+@functools.cache
 def _cw_selected():
-    if "cw" not in _cw_cache:
-        _cw_cache["cw"] = gaussian_theory.variance_constant_weyl().selected
-    return _cw_cache["cw"]
+    return gaussian_theory.variance_constant_weyl().selected
 
 
 def _theories(config):
@@ -384,19 +325,7 @@ def paired_expectation_difference(config: ExperimentConfig, other: CoefficientDi
     coupled draw-by-draw and the SE comes from the paired differences.
     """
     a = run_expectation(config)
-    config_b = ExperimentConfig(
-        n=config.n,
-        iv=config.iv,
-        dist=other,
-        trials=config.trials,
-        seed=config.seed,
-        delta_exponent=config.delta_exponent,
-        grid_step=config.grid_step,
-        block_exponent=config.block_exponent,
-        workers=config.workers,
-        flop_budget=config.flop_budget,
-    )
-    b = run_expectation(config_b)
+    b = run_expectation(dataclasses.replace(config, dist=other))
     d = a.per_trial_counts.astype(float) - b.per_trial_counts.astype(float)
     se = float(d.std(ddof=1) / math.sqrt(d.size)) if d.size > 1 else math.nan
     log_ratio = math.log(config.iv.b / config.iv.a)
@@ -426,15 +355,11 @@ def _point_values(config, x, need_deriv=False):
     b = win.weights()
     d = b * win.deriv_ratio
     sl = slice(win.i_lo, win.i_hi + 1)
-    n1 = config.n + 1
     p = np.empty(config.trials)
     dp = np.empty(config.trials) if need_deriv else None
     for lo in range(0, config.trials, 4096):
         hi = min(lo + 4096, config.trials)
-        xi = np.empty((hi - lo, n1))
-        for t in range(lo, hi):
-            u = trial_stream(config.seed, t).random(n1)
-            xi[t - lo] = _from_uniforms(config.dist, u)
+        xi = _coefficient_rows(config, lo, hi, hi - lo)
         p[lo:hi] = xi[:, sl] @ b
         if need_deriv:
             dp[lo:hi] = xi[:, sl] @ d

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import TAU_DEFAULT, WeylSample, evaluate_at, log_factorial, window_bounds
+from .basis import ORIGIN_X, TAU_DEFAULT, WeylSample, evaluate_at, log_factorial, window_bounds
 from .errors import ConfigError
 
 DEFAULT_H0 = 0.02
@@ -130,13 +130,23 @@ class GridKernel:
             dp[r0 : r0 + rows] = out[rows:]
         return p, dp
 
+    def block_starts(self, edges):
+        """First grid cell of each block [edges[k], edges[k+1]); a cell belongs
+        to the block holding its midpoint, and every block must hold one."""
+        nb = np.size(edges) - 1
+        mids = 0.5 * (self.grid[1:] + self.grid[:-1])
+        cell_block = np.clip(np.searchsorted(edges, mids, side="right") - 1, 0, nb - 1)
+        if np.unique(cell_block).size != nb:
+            raise ConfigError("block width below scan resolution")
+        return np.searchsorted(cell_block, np.arange(nb), side="left")
+
 
 def _weight_block(xs, idx, half_log_fact, row_lo=None, row_hi=None):
     """Value and derivative weights of the consecutive indices `idx` at each
     abscissa in xs; `half_log_fact` is 0.5 * log_factorial(idx).
 
     Row k is zero outside [row_lo[k], row_hi[k]] when those are given.  A row
-    at x = 0 follows P(0) = xi_0, P'(0) = xi_1 (it needs idx[0] = 0).
+    at x < ORIGIN_X follows P(0) = xi_0, P'(0) = xi_1 (it needs idx[0] = 0).
     """
     x = np.asarray(xs, dtype=float)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -146,7 +156,7 @@ def _weight_block(xs, idx, half_log_fact, row_lo=None, row_hi=None):
             keep &= (idx >= row_lo[:, None]) & (idx <= row_hi[:, None])
         w = np.where(keep, np.exp(np.maximum(logw, -700.0)), 0.0)
         dw = np.where(x > 0, w * (idx - x * x) / np.where(x > 0, x, 1.0), 0.0)
-    origin = x[:, 0] == 0.0
+    origin = x[:, 0] < ORIGIN_X
     if origin.any():
         w[origin], dw[origin] = 0.0, 0.0
         w[origin, 0] = 1.0
@@ -178,7 +188,7 @@ class LocalEvaluator:
     def __call__(self, x):
         """(p, dp) as floats at a scalar x, as arrays at a vector of points."""
         if np.ndim(x) == 0:
-            if not (0.0 < x and self.lo <= x <= self.hi):
+            if not (ORIGIN_X <= x and self.lo <= x <= self.hi):
                 p, dp = self(np.array([x], dtype=float))
                 return float(p[0]), float(dp[0])
             w = self._weights(x)
@@ -195,12 +205,12 @@ class LocalEvaluator:
 
     def value(self, x):
         """P alone at a scalar x."""
-        if 0.0 < x and self.lo <= x <= self.hi:
+        if ORIGIN_X <= x and self.lo <= x <= self.hi:
             return float(self._weights(x) @ self.coeffs)
         return self(x)[0]
 
     def _weights(self, x):
-        # one row of _weight_block at a scalar 0 < x, without its array set-up
+        # one row of _weight_block at a scalar x >= ORIGIN_X, without its array set-up
         # and guards (exp underflows to 0 silently)
         return np.exp(-0.5 * x * x + self.idx * math.log(x) - self.half_log_fact)
 
@@ -246,36 +256,101 @@ def _value_fn(sample):
     return lambda x: evaluate_at(sample, x)[0]
 
 
-def count_sign_changes(sample: WeylSample, iv: IntervalSpec, h0=DEFAULT_H0,
-                       kernel: GridKernel | None = None, theta=DEFAULT_THETA):
-    """Roots of the sample in [a, b) by grid scan plus bisection refinement.
+@dataclass
+class BlockScan:
+    """Per-trial results of `scan_block`, one entry per column of the block."""
 
-    Bracketing cells are bisected to abscissa tolerance 1e-10, each on its own
-    `LocalEvaluator`; same-sign cells that could hide a near-double pair (both
-    endpoint values below 10*delta, or an interior extremum with a small
-    endpoint value) are recursively halved down to step 1e-4.
+    counts: np.ndarray                # int32 root counts on [a, b)
+    valid: np.ndarray                 # the full validity verdict
+    ambiguous: np.ndarray             # some hunted cell could not be certified
+    roots: list | None = None         # each trial's sorted roots, with find_roots
+    blocks: np.ndarray | None = None  # (blocks, trials) counts, with block_edges
+
+
+def scan_block(kernel: GridKernel, xi, p, dp, delta, find_roots=False, block_edges=None):
+    """Root counts and validity of a block of trials on the kernel's grid.
+
+    `xi` is the (n+1, B) coefficient block and (p, dp) = kernel.values(xi).
+    A trial's count is its sign flips on the grid plus the roots hunted in the
+    same-sign cells that could hide a near-double pair (both endpoint values
+    below 10*delta, or an interior extremum with a small endpoint value),
+    which are recursively halved down to step 1e-4.  The trial is valid when
+    |P(a)|, |P(b)| and the grid minimum of |P| + |P'| exceed delta, no hunted
+    cell is ambiguous, and the refined minimum of |P| + |P'| exceeds delta in
+    every cell whose grid metric is below METRIC_REFINE_CUTOFF.
+
+    With `find_roots`, each flipped cell is bisected to abscissa tolerance
+    1e-10 on its own `LocalEvaluator`.  With `block_edges`, a flip counts in
+    the block holding its cell's midpoint and a hunted root in the block
+    holding the root.  Each column is scanned on its own, so a trial's
+    results do not depend on the other columns of the block.
     """
+    grid = kernel.grid
+    n = xi.shape[0] - 1
+    samples = {}
+
+    def sample(t):
+        if t not in samples:
+            samples[t] = WeylSample(n, xi[:, t])
+        return samples[t]
+
+    neg = p < 0.0
+    flips = neg[1:] != neg[:-1]
+    counts = flips.sum(axis=0).astype(np.int32)
+    metric = np.abs(p) + np.abs(dp)
+    valid = (np.abs(p[0]) > delta) & (np.abs(p[-1]) > delta) & (metric.min(axis=0) > delta)
+    ambiguous = np.zeros(counts.size, dtype=bool)
+    roots = None
+    if find_roots:
+        roots = [[] for _ in range(counts.size)]
+        for j, t in zip(*np.nonzero(flips)):
+            cell = LocalEvaluator(sample(t), grid[j], grid[j + 1])
+            roots[t].append(_bisect_root(cell.value, grid[j], grid[j + 1], p[j, t]))
+    blocks = None
+    if block_edges is not None:
+        blocks = np.add.reduceat(flips, kernel.block_starts(block_edges), axis=0).astype(np.int32)
+    for j, t in zip(*_suspicious_cells(p, dp, neg, grid, delta)):
+        found, amb = _hunt_same_sign_cell(
+            _value_fn(sample(t)), grid[j], grid[j + 1], p[j, t], p[j + 1, t], delta
+        )
+        counts[t] += len(found)
+        ambiguous[t] |= amb
+        if roots is not None:
+            roots[t].extend(found)
+        if blocks is not None:
+            for r in found:
+                b = np.searchsorted(block_edges, r, side="right") - 1
+                blocks[np.clip(b, 0, blocks.shape[0] - 1), t] += 1
+    valid &= ~ambiguous
+    near = (np.minimum(metric[1:], metric[:-1]) < METRIC_REFINE_CUTOFF) & valid
+    for t, j in zip(*np.nonzero(near.T)):
+        if valid[t] and _refined_metric_min(sample(t), grid[j], grid[j + 1]) <= delta:
+            valid[t] = False
+    if roots is not None:
+        roots = [np.sort(np.array(r, dtype=float)) for r in roots]
+    return BlockScan(counts, valid, ambiguous, roots, blocks)
+
+
+def _scan_sample(sample, iv, h0, kernel, delta, find_roots=False):
+    """`scan_block` on one sample, as a batch of one."""
     if kernel is None:
         kernel = GridKernel(sample.n, iv.a, iv.b, h0)
+    xi = sample.coeffs[:, None]
+    p, dp = kernel.values(xi)
+    return scan_block(kernel, xi, p, dp, delta, find_roots=find_roots)
+
+
+def count_sign_changes(sample: WeylSample, iv: IntervalSpec, h0=DEFAULT_H0,
+                       kernel: GridKernel | None = None, theta=DEFAULT_THETA):
+    """Roots of the sample in [a, b) by grid scan plus bisection refinement
+    (`scan_block`); `validity` is False when a hunted cell is ambiguous."""
     delta = iv.delta(theta)
-    p, dp = kernel.values(sample.coeffs)
-    grid = kernel.grid
-    neg = p < 0
-    flips = np.nonzero(neg[1:] != neg[:-1])[0]
-    roots = []
-    for j in flips:
-        cell = LocalEvaluator(sample, grid[j], grid[j + 1])
-        roots.append(_bisect_root(cell.value, grid[j], grid[j + 1], p[j]))
-    ambiguous = False
-    f = _value_fn(sample)
-    (cells,) = _suspicious_cells(p, dp, neg, grid, delta)
-    for j in cells:
-        found, amb = _hunt_same_sign_cell(f, grid[j], grid[j + 1], p[j], p[j + 1], delta)
-        roots.extend(found)
-        ambiguous = ambiguous or amb
-    roots = np.array(sorted(r for r in roots if iv.a <= r < iv.b))
+    scan = _scan_sample(sample, iv, h0, kernel, delta, find_roots=True)
     return RootCountResult(
-        count=roots.size, roots=roots, validity=not ambiguous, delta_used=delta
+        count=int(scan.counts[0]),
+        roots=scan.roots[0],
+        validity=not scan.ambiguous[0],
+        delta_used=delta,
     )
 
 
@@ -283,8 +358,8 @@ def _suspicious_cells(p, dp, neg, grid, delta):
     """Same-sign cells worth hunting: tiny endpoint values, or an interior
     extremum whose endpoint value is within dip range of zero.
 
-    The grid runs along axis 0 of `p`, `dp` and `neg`, which are (grid,) or
-    (grid, batch); returns the np.nonzero tuple, (cells,) or (cells, trials).
+    `p`, `dp` and `neg` are (grid, batch) arrays; returns the np.nonzero pair
+    (cells, trials).
     """
     h = grid[1] - grid[0] if grid.size > 1 else 0.0
     same = neg[1:] == neg[:-1]
@@ -299,22 +374,10 @@ def _suspicious_cells(p, dp, neg, grid, delta):
 
 def validity_check(sample: WeylSample, iv: IntervalSpec, delta,
                    h0=DEFAULT_H0, kernel: GridKernel | None = None):
-    """True iff |P(a)|, |P(b)| > delta and the refined grid minimum of
-    |P| + |P'| exceeds delta."""
-    if kernel is None:
-        kernel = GridKernel(sample.n, iv.a, iv.b, h0)
-    p, dp = kernel.values(sample.coeffs)
-    if abs(p[0]) <= delta or abs(p[-1]) <= delta:
-        return False
-    metric = np.abs(p) + np.abs(dp)
-    if metric.min() <= delta:
-        return False
-    grid = kernel.grid
-    cells = np.nonzero(np.minimum(metric[1:], metric[:-1]) < METRIC_REFINE_CUTOFF)[0]
-    for j in cells:
-        if _refined_metric_min(sample, grid[j], grid[j + 1]) <= delta:
-            return False
-    return True
+    """The full validity verdict of `scan_block`: |P(a)|, |P(b)| > delta, no
+    ambiguous hunted cell, and the refined grid minimum of |P| + |P'|
+    exceeds delta."""
+    return bool(_scan_sample(sample, iv, h0, kernel, delta).valid[0])
 
 
 def _refined_metric_min(sample, lo, hi, step=REFINE_FLOOR):

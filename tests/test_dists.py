@@ -67,7 +67,7 @@ def test_unsupported_kind_is_config_error():
         dists.from_name("cauchy")
     with pytest.raises(ConfigError):
         dists.sample(
-            dists.CoefficientDistribution("weird", 0.0, 3.0, 1.0),
+            dists.CoefficientDistribution("weird", 0.0, 3.0),
             dists.trial_stream(0, 0), 2,
         )
 

@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
@@ -215,6 +216,41 @@ def test_property_kernel_values_match_evaluate_at(cfg, seed):
         assert abs(p1[j] - p[j, 1]) <= 1e-12 * mass and abs(dp1[j] - dp[j, 1]) <= 1e-12 * mass
 
 
+@functools.cache
+def scan_kernel():
+    return roots.GridKernel(400, 2.0, 18.0)
+
+
+@given(
+    st.sampled_from([dists.gaussian(), dists.rademacher(), dists.uniform_sym()]),
+    st.integers(0, 2**31),
+    st.integers(2, 12),
+    st.sampled_from([1.0, 2.0, 5.0]),
+)
+@settings(max_examples=12, deadline=None)
+def test_property_scan_block_columns_are_batches_of_one(law, seed, width, theta):
+    # each column of a block, scanned on its own values as a batch of one,
+    # gives the block's results for that column bit for bit; large deltas
+    # (small theta) make hunted cells and invalid trials common
+    iv, kernel = roots.IntervalSpec(2.0, 18.0), scan_kernel()
+    delta, edges = iv.delta(theta), np.array([2.0, 3.0, 5.5, 9.0, 18.0])
+    xi = np.stack(
+        [dists.sample(law, dists.trial_stream(seed, t), 401) for t in range(width)], axis=1
+    )
+    p, dp = kernel.values(xi)
+    whole = roots.scan_block(kernel, xi, p, dp, delta, find_roots=True, block_edges=edges)
+    assert np.array_equal(whole.blocks.sum(axis=0), whole.counts)
+    for t in range(width):
+        col = slice(t, t + 1)
+        one = roots.scan_block(kernel, xi[:, col], p[:, col], dp[:, col], delta,
+                               find_roots=True, block_edges=edges)
+        assert one.counts[0] == whole.counts[t] == whole.roots[t].size, t
+        assert one.valid[0] == whole.valid[t] and one.ambiguous[0] == whole.ambiguous[t], t
+        assert not (whole.valid[t] and whole.ambiguous[t]), t
+        assert one.roots[0].tobytes() == whole.roots[t].tobytes(), t
+        assert np.array_equal(one.blocks[:, 0], whole.blocks[:, t]), t
+
+
 def union_window(n, lo, hi):
     ends = [basis.window_bounds(x, n, basis.TAU_DEFAULT) for x in (lo, hi)]
     return np.arange(min(e[0] for e in ends), max(e[1] for e in ends) + 1)
@@ -273,6 +309,7 @@ def test_property_refined_metric_min_matches_per_point(n, start, u, seed):
     st.floats(0.0, 1.0),
     st.integers(0, 2**31),
 )
+@example(n=20, start="origin", u=0.0, v=2.225073858507e-311, seed=0)  # subnormal x
 @settings(max_examples=40, deadline=None)
 def test_property_local_evaluator_matches_evaluate_at(n, start, u, v, seed):
     # spans up to four scan steps wide, as wide as a Kac-Rice span and more
