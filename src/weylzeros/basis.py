@@ -16,14 +16,14 @@ from scipy.special import gammaln
 
 from .errors import ConfigError
 
-#: window cut parameter: the upper window edge drops weights below
-#: exp(-TAU_DEFAULT); the lower edge cuts higher, near exp(-24) for large x
-#: (see window_halfwidth)
+#: window cut parameter of `window_bounds`: the upper window edge drops
+#: weights below exp(-TAU_DEFAULT); the lower edge cuts higher
 TAU_DEFAULT = 60.0
 
 #: below this abscissa the window rule is bypassed and all terms are summed
 SMALL_X = 2.0
 
+#: log-weights at or below this floor are weight 0 (exp underflows near -745)
 _EXP_FLOOR = -700.0
 
 #: below this abscissa (P, P') are taken as (xi_0, xi_1), their values at 0,
@@ -31,13 +31,17 @@ _EXP_FLOOR = -700.0
 #: log-weights would drop the x^1 term, whose derivative weight is about 1
 ORIGIN_X = 1e-150
 
+# upper-edge extension steps tried per pass of `window_bounds`: at tau = 60
+# the edge settles within about 10 steps, so one pass almost always suffices
+_EDGE_STEPS = np.arange(16)
+
 _log_factorial_cache = np.zeros(0)
 
 
 def log_factorial(i):
     """log i! = gammaln(i+1) from a grow-only cache (written once, then read-only)."""
     global _log_factorial_cache
-    top = int(np.max(i)) if np.ndim(i) else int(i)
+    top = int(np.asarray(i).max())
     if top + 1 > _log_factorial_cache.size:
         size = max(top + 1, 2 * _log_factorial_cache.size, 1024)
         _log_factorial_cache = gammaln(np.arange(size, dtype=float) + 1.0)
@@ -62,24 +66,24 @@ class WeylSample:
 
 @dataclass(frozen=True)
 class BasisWindow:
-    """Retained index range at a fixed abscissa, with log-weights and ratios."""
+    """Retained index range at a fixed abscissa, with log-weights, weights and ratios."""
 
     x: float
     i_lo: int
     i_hi: int
     log_w: np.ndarray
+    weights: np.ndarray
     deriv_ratio: np.ndarray
-    tau: float
     n: int
-    mass: float
     edge_clipped: bool
 
     @property
     def indices(self):
         return np.arange(self.i_lo, self.i_hi + 1)
 
-    def weights(self):
-        return np.exp(np.maximum(self.log_w, _EXP_FLOOR)) * (self.log_w > _EXP_FLOOR)
+    @property
+    def mass(self):
+        return float(self.weights @ self.weights)
 
 
 def basis_log_weight(i, x):
@@ -90,39 +94,83 @@ def basis_log_weight(i, x):
     return -0.5 * x * x + i * np.log(x) - 0.5 * log_factorial(i)
 
 
-def window_halfwidth(x, tau):
-    """Index half-width x*(sqrt(tau)+2) around x^2.
+def _floored_exp(log_w):
+    """exp(log_w), and 0 where log_w is at or below the floor."""
+    return np.where(log_w > _EXP_FLOOR, np.exp(np.maximum(log_w, _EXP_FLOOR)), 0.0)
 
-    The log-weight falls off like -(offset/x)^2/4 near the peak, so at this
-    offset it is only about -(sqrt(tau)+2)^2/4, i.e. -24 at tau = 60, not
-    -tau.  The lower window edge therefore drops terms of weight up to about
-    exp(-24) at large x (measured at tau = 60: -46 at x = 10, -31 at x = 20,
-    -29 at x = 35); `window_bounds` extends only the upper edge to -tau.
+
+def weight_block(xs, idx, half_log_fact, row_lo=None, row_hi=None):
+    """Value and derivative weights of the consecutive indices `idx` at each
+    abscissa in xs, one row per abscissa; `half_log_fact` is
+    0.5 * log_factorial(idx).
+
+    Row k is zero outside [row_lo[k], row_hi[k]] when those are given.  A row
+    at x < ORIGIN_X follows P(0) = xi_0, P'(0) = xi_1 (it needs idx[0] = 0).
     """
-    return int(np.ceil(x * (np.sqrt(tau) + 2.0)))
+    x = np.asarray(xs, dtype=float)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = -0.5 * x * x + idx * np.log(x) - half_log_fact
+        if row_lo is not None:
+            log_w[(idx < row_lo[:, None]) | (idx > row_hi[:, None])] = -np.inf
+        w = _floored_exp(log_w)
+        dw = np.where(x > 0, w * (idx - x * x) / np.where(x > 0, x, 1.0), 0.0)
+    origin = x[:, 0] < ORIGIN_X
+    if origin.any():
+        w[origin], dw[origin] = 0.0, 0.0
+        w[origin, 0] = 1.0
+        if idx.size > 1:
+            dw[origin, 1] = 1.0
+    return w, dw
 
 
 def window_bounds(x, n, tau):
-    """(i_lo, i_hi, clipped) for the retained index range at abscissa x.
+    """(i_lo, i_hi, clipped): the retained index range at abscissa x, as
+    Python (int, int, bool) for a scalar x and as arrays for an array of them.
 
-    The quadratic-decay half-width is only sharp for large x; at moderate x
-    the Poisson upper tail is heavier, so the upper edge is extended until the
-    boundary log-weight actually falls below -tau.
+    Below SMALL_X the window is all of [0, n].  Otherwise it starts as
+    [x^2 - w, x^2 + w] with w = ceil(x (sqrt(tau) + 2)); the upper edge then
+    moves up in steps of max(8, ceil(x)) until its log-weight is <= -tau or
+    it reaches n (at moderate x the Poisson upper tail is heavier than the
+    quadratic decay), `clipped` says it passed n, and both edges are cut to
+    [0, n].  The lower edge is not extended: the log-weight falls off like
+    -(offset/x)^2/4 near the peak, so at offset w it is only about
+    -(sqrt(tau)+2)^2/4 = -24 at tau = 60, and the lower edge drops terms of
+    weight up to about exp(-24) at large x (measured at tau = 60: -46 at
+    x = 10, -31 at x = 20, -29 at x = 35).
     """
-    if x < SMALL_X:
-        return 0, n, False
-    w = window_halfwidth(x, tau)
-    center = int(np.floor(x * x))
-    i_lo = max(0, center - w)
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
+    # a row below SMALL_X is taken at SMALL_X, where i_lo is already 0, and
+    # its upper edge starts at n, where the search below leaves it
+    xr = np.maximum(flat, SMALL_X)
+    w = np.ceil(xr * (np.sqrt(tau) + 2.0))
+    center = np.floor(xr * xr)
+    i_lo = np.maximum(center - w, 0.0)
     i_hi = center + w
-    step = max(8, int(np.ceil(x)))
-    while i_hi < n and basis_log_weight(i_hi, x) > -tau:
-        i_hi += step
-    return i_lo, min(n, i_hi), i_hi > n
+    i_hi[flat < SMALL_X] = n
+    # Each pass tries every row's next _EDGE_STEPS candidate edges at once and
+    # moves the edge to the first one at or past n or with log-weight <= -tau.
+    xr = xr[:, None]
+    step = np.maximum(np.ceil(xr), 8.0)
+    offsets = step * _EDGE_STEPS
+    half_x2, log_x = -0.5 * xr * xr, np.log(xr)
+    while True:
+        cand = i_hi[:, None] + offsets
+        log_w = half_x2 + cand * log_x - 0.5 * log_factorial(np.minimum(cand, n).astype(np.intp))
+        stop = (cand >= n) | (log_w <= -tau)
+        stop[:, -1] = True  # the last candidate only hands the search on to the next pass
+        first = stop.argmax(axis=1)
+        i_hi += step[:, 0] * first
+        if first.max(initial=0) < _EDGE_STEPS[-1]:
+            break
+    if xs.ndim == 0:
+        return int(i_lo[0]), int(min(i_hi[0], n)), bool(i_hi[0] > n)
+    lo, hi = i_lo.astype(np.int64), np.minimum(i_hi, n).astype(np.int64)
+    return lo.reshape(xs.shape), hi.reshape(xs.shape), (i_hi > n).reshape(xs.shape)
 
 
 def support_window(x, n, tau=TAU_DEFAULT):
-    """Window [x^2 - w, x^2 + w] clipped to [0, n]; full range for small x."""
+    """The `window_bounds` window at x with its log-weights, weights and ratios."""
     if tau <= 0:
         raise ConfigError("tau must be > 0")
     if x <= 0:
@@ -132,16 +180,14 @@ def support_window(x, n, tau=TAU_DEFAULT):
     i_lo, i_hi, clipped = window_bounds(x, n, tau)
     idx = np.arange(i_lo, i_hi + 1)
     log_w = basis_log_weight(idx, x)
-    wts = np.exp(np.maximum(log_w, _EXP_FLOOR)) * (log_w > _EXP_FLOOR)
     return BasisWindow(
         x=float(x),
         i_lo=i_lo,
         i_hi=i_hi,
         log_w=log_w,
+        weights=_floored_exp(log_w),
         deriv_ratio=(idx - x * x) / x,
-        tau=float(tau),
         n=int(n),
-        mass=float(wts @ wts),
         edge_clipped=clipped,
     )
 
@@ -154,7 +200,7 @@ def evaluate(sample: WeylSample, window: BasisWindow):
     """
     if window.n != sample.n:
         raise ConfigError("window built for a different degree")
-    terms = sample.coeffs[window.i_lo : window.i_hi + 1] * window.weights()
+    terms = sample.coeffs[window.i_lo : window.i_hi + 1] * window.weights
     return float(terms.sum()), float(terms @ window.deriv_ratio)
 
 
@@ -169,7 +215,7 @@ def _pair_sums(x, y, n):
     """The four cross sums of value/derivative weights at (x, y) over [0, n]."""
     i = np.arange(0, n + 1)
     lw = 0.5 * (basis_log_weight(i, x) + basis_log_weight(i, y))
-    w = np.exp(np.maximum(lw, _EXP_FLOOR)) * (lw > _EXP_FLOOR)
+    w = _floored_exp(lw)
     rx = (i - x * x) / x
     ry = (i - y * y) / y
     w2 = w * w

@@ -34,10 +34,6 @@ class CoefficientDistribution:
                 f"moment matrix not PSD: m4={self.m4} < 1 + m3^2={1 + self.m3 ** 2}"
             )
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.m3 == 0.0
-
     def __str__(self):
         return self.kind
 

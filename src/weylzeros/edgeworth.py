@@ -146,7 +146,7 @@ def avg_cumulant(alpha, window: BasisWindow, dist: CoefficientDistribution, N):
     const = c3 if alpha.weight == 3 else c4
     if const == 0.0:
         return 0.0
-    w = window.weights()
+    w = window.weights
     n2 = alpha.entries[1] if alpha.dim == 2 else 0
     s = float((w ** alpha.weight) @ (window.deriv_ratio**n2))
     return const * N ** (alpha.weight / 2.0 - 1.0) * s

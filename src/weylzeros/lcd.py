@@ -249,7 +249,7 @@ def sk_weights(n):
 def weyl_weights(x, n, N, d=1, tau=TAU_DEFAULT):
     """sqrt(N)-normalized Weyl basis weights at x over the retained window."""
     win = support_window(x, n, tau)
-    b = math.sqrt(N) * win.weights()
+    b = math.sqrt(N) * win.weights
     if d == 1:
         return b
     return np.column_stack([b, b * win.deriv_ratio])

@@ -37,9 +37,12 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def default_workers():
+    """WEYLZEROS_WORKERS, a positive integer, else min(8, cpu count)."""
     env = os.environ.get("WEYLZEROS_WORKERS")
     if env:
-        return max(1, int(env))
+        if not env.strip().isdigit() or int(env) < 1:
+            raise ConfigError(f"WEYLZEROS_WORKERS must be a positive integer, got {env!r}")
+        return int(env)
     return max(1, min(8, os.cpu_count() or 1))
 
 
@@ -58,6 +61,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.workers < 0:
+            raise ConfigError("workers must be >= 0 (0 picks the default)")
         if self.delta_exponent <= 0:
             raise ConfigError("delta exponent must be > 0")
         if not 0 < self.block_exponent < 0.5:
@@ -351,8 +356,8 @@ def paired_expectation_difference(config: ExperimentConfig, other: CoefficientDi
 
 def _point_values(config, x, need_deriv=False):
     """(P(x), P'(x)) arrays over all trials at one abscissa."""
-    win = support_window(x, config.n, tau=60.0)
-    b = win.weights()
+    win = support_window(x, config.n)
+    b = win.weights
     d = b * win.deriv_ratio
     sl = slice(win.i_lo, win.i_hi + 1)
     p = np.empty(config.trials)
@@ -409,8 +414,8 @@ def edgeworth_fit(x, config: ExperimentConfig):
     """Sup-distance of the empirical CDF of standardized P(x) against the
     integrated order-4 expansion (cumulants from the true weights) and
     against the plain normal CDF."""
-    win = support_window(x, config.n, tau=60.0)
-    b = win.weights()
+    win = support_window(x, config.n)
+    b = win.weights
     sigma2 = float(b @ b)
     m3, k4 = (config.dist.m3, config.dist.m4 - 3.0)
     lam3 = m3 * float((b**3).sum()) / sigma2**1.5

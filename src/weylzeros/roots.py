@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import ORIGIN_X, TAU_DEFAULT, WeylSample, evaluate_at, log_factorial, window_bounds
+from .basis import (
+    ORIGIN_X, TAU_DEFAULT, WeylSample, evaluate_at, log_factorial, weight_block, window_bounds,
+)
 from .errors import ConfigError
 
 DEFAULT_H0 = 0.02
@@ -32,7 +34,7 @@ _TILE_ROWS = 64
 
 @dataclass(frozen=True)
 class IntervalSpec:
-    """Interval [a, b] in the soft-edge-guarded bulk, in [c1*M, c2*M] form.
+    """Interval [a, b] in the soft-edge-guarded bulk, with scale M = b.
 
     The guard requires b <= sqrt(n) - n^(guard_exponent/2) at validation time
     unless edge_mode is set.
@@ -52,14 +54,6 @@ class IntervalSpec:
     @property
     def M(self):
         return self.b
-
-    @property
-    def c1(self):
-        return self.a / self.b
-
-    @property
-    def c2(self):
-        return 1.0
 
     def validate_for_degree(self, n):
         if self.edge_mode:
@@ -106,17 +100,12 @@ class GridKernel:
         self.grid = np.linspace(a, b, m + 1)
         self.h0 = float(h0)
         self.tau = float(tau)
-        self._build()
-
-    def _build(self):
-        bounds = np.array([window_bounds(x, self.n, self.tau)[:2] for x in self.grid])
+        lo, hi, _ = window_bounds(self.grid, self.n, self.tau)
         self.tiles = []  # (first row, first index, stacked value/derivative block)
         for r0 in range(0, self.grid.size, _TILE_ROWS):
-            lo, hi = bounds[r0 : r0 + _TILE_ROWS].T
-            idx = np.arange(int(lo.min()), int(hi.max()) + 1)
-            w, dw = _weight_block(
-                self.grid[r0 : r0 + _TILE_ROWS], idx, 0.5 * log_factorial(idx), lo, hi
-            )
+            rows = slice(r0, r0 + _TILE_ROWS)
+            idx = np.arange(lo[rows].min(), hi[rows].max() + 1)
+            w, dw = weight_block(self.grid[rows], idx, 0.5 * log_factorial(idx), lo[rows], hi[rows])
             self.tiles.append((r0, idx[0], np.concatenate([w, dw])))
 
     def values(self, coeffs):
@@ -141,30 +130,6 @@ class GridKernel:
         return np.searchsorted(cell_block, np.arange(nb), side="left")
 
 
-def _weight_block(xs, idx, half_log_fact, row_lo=None, row_hi=None):
-    """Value and derivative weights of the consecutive indices `idx` at each
-    abscissa in xs; `half_log_fact` is 0.5 * log_factorial(idx).
-
-    Row k is zero outside [row_lo[k], row_hi[k]] when those are given.  A row
-    at x < ORIGIN_X follows P(0) = xi_0, P'(0) = xi_1 (it needs idx[0] = 0).
-    """
-    x = np.asarray(xs, dtype=float)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = -0.5 * x * x + idx * np.log(x) - half_log_fact
-        keep = logw > -700.0
-        if row_lo is not None:
-            keep &= (idx >= row_lo[:, None]) & (idx <= row_hi[:, None])
-        w = np.where(keep, np.exp(np.maximum(logw, -700.0)), 0.0)
-        dw = np.where(x > 0, w * (idx - x * x) / np.where(x > 0, x, 1.0), 0.0)
-    origin = x[:, 0] < ORIGIN_X
-    if origin.any():
-        w[origin], dw[origin] = 0.0, 0.0
-        w[origin, 0] = 1.0
-        if idx.size > 1:
-            dw[origin, 1] = 1.0
-    return w, dw
-
-
 class LocalEvaluator:
     """(P, P') of one sample at points of a span [lo, hi], from one window.
 
@@ -177,9 +142,8 @@ class LocalEvaluator:
     """
 
     def __init__(self, sample: WeylSample, lo, hi):
-        i_lo, i_hi, _ = window_bounds(lo, sample.n, TAU_DEFAULT)
-        i_lo2, i_hi2, _ = window_bounds(hi, sample.n, TAU_DEFAULT)
-        i_lo, i_hi = min(i_lo, i_lo2), max(i_hi, i_hi2)
+        i_lo, i_hi, _ = window_bounds(np.array([lo, hi], dtype=float), sample.n, TAU_DEFAULT)
+        i_lo, i_hi = i_lo.min(), i_hi.max()
         self.idx = np.arange(i_lo, i_hi + 1, dtype=float)
         self.half_log_fact = 0.5 * log_factorial(np.arange(i_lo, i_hi + 1))
         self.coeffs = sample.coeffs[i_lo : i_hi + 1]
@@ -197,7 +161,7 @@ class LocalEvaluator:
         xs = np.asarray(x, dtype=float)
         inside = (xs >= self.lo) & (xs <= self.hi)
         p, dp = np.empty(xs.shape), np.empty(xs.shape)
-        w, dw = _weight_block(xs[inside], self.idx, self.half_log_fact)
+        w, dw = weight_block(xs[inside], self.idx, self.half_log_fact)
         p[inside], dp[inside] = w @ self.coeffs, dw @ self.coeffs
         for k in np.flatnonzero(~inside):
             p[k], dp[k] = evaluate_at(self.sample, xs[k])
@@ -210,7 +174,7 @@ class LocalEvaluator:
         return self(x)[0]
 
     def _weights(self, x):
-        # one row of _weight_block at a scalar x >= ORIGIN_X, without its array set-up
+        # one row of weight_block at a scalar x >= ORIGIN_X, without its array set-up
         # and guards (exp underflows to 0 silently)
         return np.exp(-0.5 * x * x + self.idx * math.log(x) - self.half_log_fact)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylzeros import basis, dists
 from weylzeros.errors import ConfigError
@@ -85,6 +87,66 @@ class TestSupportWindow:
             basis.support_window(30.0, 100, 40.0)
 
 
+def reference_window_bounds(x, n, tau):
+    """The window rule at one abscissa, the upper edge extended one step per
+    loop: the reference the vectorised `window_bounds` must match."""
+    if x < basis.SMALL_X:
+        return 0, n, False
+    w = int(np.ceil(x * (np.sqrt(tau) + 2.0)))
+    center = int(np.floor(x * x))
+    i_lo = max(0, center - w)
+    i_hi = center + w
+    step = max(8, int(np.ceil(x)))
+    while i_hi < n and basis.basis_log_weight(i_hi, x) > -tau:
+        i_hi += step
+    return i_lo, min(n, i_hi), i_hi > n
+
+
+@st.composite
+def window_inputs(draw):
+    """(xs, n, tau): abscissas below, at and above SMALL_X, including the
+    clipped range (sqrt(n), sqrt(n) + 1]."""
+    n = draw(st.integers(1, 5000))
+    top = math.sqrt(n)
+    x = st.one_of(
+        st.floats(0.0, basis.SMALL_X, exclude_max=True),
+        st.just(basis.SMALL_X),
+        st.floats(basis.SMALL_X, max(top, basis.SMALL_X)),
+        st.floats(top, top + 1.0, exclude_min=True),
+    )
+    xs = draw(st.lists(x, min_size=1, max_size=40))
+    return xs, n, draw(st.sampled_from([22.0, 40.0, 60.0]))
+
+
+@given(window_inputs())
+@settings(max_examples=300, deadline=None)
+def test_property_window_bounds_matches_scalar_reference(case):
+    xs, n, tau = case
+    i_lo, i_hi, clipped = basis.window_bounds(np.array(xs), n, tau)
+    assert i_lo.shape == i_hi.shape == clipped.shape == (len(xs),)
+    for k, x in enumerate(xs):
+        ref = reference_window_bounds(x, n, tau)
+        assert (i_lo[k], i_hi[k], clipped[k]) == ref, (x, n, tau)
+        one = basis.window_bounds(x, n, tau)
+        assert one == ref and [type(v) for v in one] == [int, int, bool], (x, n, tau)
+
+
+def test_window_bounds_edge_search_over_several_passes():
+    # a deep cut moves the upper edge by more steps than one pass tries
+    xs = np.linspace(0.0, 71.0, 400)
+    i_lo, i_hi, clipped = basis.window_bounds(xs.reshape(20, 20), 5000, 400.0)
+    got = np.stack([i_lo.ravel(), i_hi.ravel(), clipped.ravel()], axis=1).tolist()
+    assert got == [list(reference_window_bounds(x, 5000, 400.0)) for x in xs]
+
+
+@pytest.mark.parametrize("x, n", [(1.5, 100), (10.0, 400), (30.0, 1600), (20.5, 400)])
+def test_window_weights_are_a_weight_block_row(x, n):
+    w = basis.support_window(x, n)
+    idx = w.indices
+    block, _ = basis.weight_block(np.array([x, x + 1.0]), idx, 0.5 * basis.log_factorial(idx))
+    assert block[0].tobytes() == w.weights.tobytes()
+
+
 class TestEvaluate:
     def test_two_term_polynomial(self):
         c = np.zeros(11)
@@ -118,7 +180,7 @@ class TestEvaluate:
         # Var P(x) = sum of squared unit-mass weights ~ 1 in the bulk
         x, n, trials = 10.0, 400, 10**5
         w = basis.support_window(x, n, 60.0)
-        b = w.weights()
+        b = w.weights
         rng = np.random.default_rng(3)
         vals = rng.standard_normal((trials, b.size)) @ b
         assert abs(vals.var() - 1.0) < 0.02

@@ -44,6 +44,26 @@ def test_missing_seed_is_config_error(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+EXPECT_SMALL = "[expect]\ndist = gaussian\nn = 100\na = 2\nb = 8\ntrials = 10\n"
+
+
+def test_worker_env_not_an_integer_is_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("WEYLZEROS_WORKERS", "two")
+    cfg = write_config(tmp_path, EXPECT_SMALL)
+    rc = cli.main(["expect", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert rc == cli.EXIT_CODES["config"]
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "WEYLZEROS_WORKERS" in err
+
+
+def test_negative_workers_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, EXPECT_SMALL)
+    rc = cli.main(["expect", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1",
+                   "--workers", "-1"])
+    assert rc == cli.EXIT_CODES["config"]
+    assert "error[config]" in capsys.readouterr().err
+
+
 def test_expect_csv_schema_and_roundtrip(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -39,6 +39,19 @@ class TestConfig:
         with pytest.raises(ResourceBudgetError):
             make_config(trials=10**9)
 
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ConfigError):
+            make_config(workers=-1)
+
+    def test_worker_count_from_environment_must_be_a_positive_integer(self, monkeypatch):
+        cfg = make_config(workers=0)
+        monkeypatch.setenv("WEYLZEROS_WORKERS", "3")
+        assert cfg.resolved_workers() == 3
+        for bad in ("two", "0", "-1"):
+            monkeypatch.setenv("WEYLZEROS_WORKERS", bad)
+            with pytest.raises(ConfigError):
+                cfg.resolved_workers()
+
 
 class TestDeterminism:
     def test_bit_identical_across_worker_counts(self):

@@ -39,8 +39,6 @@ class TestIntervalSpec:
     def test_interval_representation(self):
         iv = roots.IntervalSpec(5.0, 35.0)
         assert iv.M == 35.0
-        assert iv.c1 == pytest.approx(1.0 / 7.0)
-        assert iv.c2 == 1.0
 
     def test_delta(self):
         iv = roots.IntervalSpec(5.0, 35.0)
@@ -152,7 +150,7 @@ class TestValidityCheck:
         s = gaussian_sample(n, 21, 4)
         w = basis.support_window(2.0, n)
         bt = np.zeros(n + 1)
-        bt[w.i_lo : w.i_hi + 1] = w.weights()
+        bt[w.i_lo : w.i_hi + 1] = w.weights
         xi = s.coeffs.copy()
         xi[0] -= (bt @ xi) / bt[0]
         iv = roots.IntervalSpec(2.0, 10.0, edge_mode=True)
