@@ -139,6 +139,8 @@ def window_bounds(x, n, tau):
     x = 10, -31 at x = 20, -29 at x = 35).
     """
     xs = np.asarray(x, dtype=float)
+    if xs.ndim == 0 and xs < SMALL_X:
+        return 0, int(n), False
     flat = xs.reshape(-1)
     # a row below SMALL_X is taken at SMALL_X, where i_lo is already 0, and
     # its upper edge starts at n, where the search below leaves it

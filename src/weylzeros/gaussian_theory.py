@@ -16,6 +16,9 @@ CW_REFERENCE = 0.18198
 
 _RADICAND_ERROR = -1e-10
 
+# the variance-constant integral: truncation |t|, panel width, nodes per panel
+_CW_TRUNCATION, _CW_PANEL, _CW_NODES = 40.0, 0.5, 24
+
 
 def _far_tail_intensity(x, n):
     """First intensity beyond the soft edge (x^2 > n), free of cancellation.
@@ -170,32 +173,32 @@ class VarianceConstant:
     truncation: float
 
 
-def variance_constant_weyl(truncation=40.0, panel=0.5, nodes=24):
+def variance_constant_weyl():
     """Both printed readings of the variance constant, and the one matching
     the reference value 0.18198.
 
     reading_a = (1/pi) * I  and  reading_b = 1/pi + I  with
-    I = int_R (rho(0,t) - 1/pi^2) dt, Gauss-Legendre panels of width `panel`
-    truncated at |t| = `truncation` (integrand decays like e^{-t^2/2}; the
-    analytic tail estimate is recorded).
+    I = int_R (rho(0,t) - 1/pi^2) dt, Gauss-Legendre panels of width 0.5
+    truncated at |t| = 40 (integrand decays like e^{-t^2/2}; the analytic
+    tail estimate is recorded).
     """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_CW_NODES)
     total = 0.0
     lo = 0.0
-    while lo < truncation - 1e-12:
-        hi = min(lo + panel, truncation)
+    while lo < _CW_TRUNCATION - 1e-12:
+        hi = min(lo + _CW_PANEL, _CW_TRUNCATION)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         pts = mid + half * gl_x
         vals = np.array([pair_correlation_limit(p) - 1.0 / math.pi**2 for p in pts])
         total += half * float(gl_w @ vals)
         lo = hi
     integral = 2.0 * total  # even integrand
-    tail = 2.0 * truncation**4 * math.exp(-truncation * truncation) / math.pi**2
+    tail = 2.0 * _CW_TRUNCATION**4 * math.exp(-_CW_TRUNCATION**2) / math.pi**2
     reading_a = integral / math.pi
     reading_b = 1.0 / math.pi + integral
     for name, value in (("reading_a", reading_a), ("reading_b", reading_b)):
         if abs(value - CW_REFERENCE) < 1e-3:
-            return VarianceConstant(reading_a, reading_b, value, name, tail, truncation)
+            return VarianceConstant(reading_a, reading_b, value, name, tail, _CW_TRUNCATION)
     raise NumericalInstabilityError(
         f"neither reading matches {CW_REFERENCE}: a={reading_a}, b={reading_b}"
     )

@@ -8,12 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import TAU_DEFAULT, support_window
+from .basis import support_window
 from .dists import CoefficientDistribution
 from .errors import ConfigError, ResourceBudgetError
 
 SCAN_BUDGET = 10_000_000_000
 MAX_EXCLUDED = 3
+_PROFILE_POINTS = 512  # (|D|, objective) samples of a 1-d scan's profile
 
 
 def dist_to_int(a):
@@ -131,7 +132,7 @@ def _objective_1d(v, ds):
     return (dist_to_int(np.outer(ds, v)) ** 2).sum(axis=1)
 
 
-def lcd_search(query: LCDQuery, profile_points=512) -> LCDResult:
+def lcd_search(query: LCDQuery) -> LCDResult:
     """Certified coarse-to-fine scan for the smallest dilation with
     objective <= tau.
 
@@ -153,18 +154,18 @@ def lcd_search(query: LCDQuery, profile_points=512) -> LCDResult:
         )
     lam = float(np.linalg.norm(v, axis=1).sum())
     if d == 1:
-        return _search_1d(query, v[:, 0], lam, profile_points)
-    return _search_2d(query, v, lam, profile_points)
+        return _search_1d(query, v[:, 0], lam)
+    return _search_2d(query, v, lam)
 
 
-def _search_1d(query, v, lam, profile_points):
+def _search_1d(query, v, lam):
     h = query.scan_step
     coarse_h = max(h, min(0.05, query.tau / max(lam, 1e-12)))
     grid = np.arange(query.r, query.D_max + coarse_h, coarse_h)
     best = math.inf
     best_d = query.r
     d_star = math.inf
-    prof_ds = np.linspace(query.r, query.D_max, profile_points)
+    prof_ds = np.linspace(query.r, query.D_max, _PROFILE_POINTS)
     profile = tuple(zip(prof_ds.tolist(), _objective_1d(v, prof_ds).tolist()))
     chunk = max(1, int(2e7 // max(v.size, 1)))
     for k in range(0, grid.size, chunk):
@@ -194,7 +195,7 @@ def _search_1d(query, v, lam, profile_points):
     )
 
 
-def _search_2d(query, v, lam, profile_points):
+def _search_2d(query, v, lam):
     h = query.scan_step
     axis = np.arange(-query.D_max, query.D_max + h, h)
     best = math.inf
@@ -246,9 +247,9 @@ def sk_weights(n):
     return w
 
 
-def weyl_weights(x, n, N, d=1, tau=TAU_DEFAULT):
+def weyl_weights(x, n, N, d=1):
     """sqrt(N)-normalized Weyl basis weights at x over the retained window."""
-    win = support_window(x, n, tau)
+    win = support_window(x, n)
     b = math.sqrt(N) * win.weights
     if d == 1:
         return b

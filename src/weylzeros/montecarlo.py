@@ -2,10 +2,11 @@
 comparison, small-ball frequencies, block-covariance diagnostics, and the
 empirical distribution fit against the order-4 expansion.
 
-Trials are an embarrassingly parallel map: every trial owns a counter-based
+Every experiment, small ball and fit included, maps its trials in chunks
+over the worker pool with `_run_engine`.  Every trial owns a counter-based
 stream derived from (seed, trial index), all shared inputs are immutable, and
-reductions assemble per-trial arrays by index, so results are bit-identical
-for any worker count.
+chunk outputs are joined in trial order, so results are bit-identical for any
+worker count.
 """
 
 import ctypes
@@ -14,7 +15,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
@@ -204,34 +205,24 @@ def _chunk_worker(bounds):
 
 
 def _run_engine(engine: _TrialEngine):
-    """Map count_chunk over all trials; returns counts, valid, blocks arrays."""
+    """Map engine.count_chunk over _CHUNK-trial chunks; each output is the
+    chunks' outputs joined along the trial (last) axis (None stays None)."""
     global _ACTIVE_ENGINE
-    config = engine.config
-    chunks = [
-        (lo, min(lo + _CHUNK, config.trials)) for lo in range(0, config.trials, _CHUNK)
-    ]
-    workers = config.resolved_workers()
-    counts = np.empty(config.trials, dtype=np.int32)
-    valid = np.empty(config.trials, dtype=bool)
-    nb = None if engine.block_edges is None else engine.block_edges.size - 1
-    blocks = None if nb is None else np.empty((nb, config.trials), dtype=np.int32)
+    trials = engine.config.trials
+    chunks = [(lo, min(lo + _CHUNK, trials)) for lo in range(0, trials, _CHUNK)]
+    workers = engine.config.resolved_workers()
     _ACTIVE_ENGINE = engine
     try:
-        with _one_blas_thread(), ExitStack() as stack:
+        with _one_blas_thread():
             if workers == 1 or len(chunks) == 1:
-                results = map(_chunk_worker, chunks)
+                results = list(map(_chunk_worker, chunks))
             else:
-                pool = stack.enter_context(
-                    ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"))
-                )
-                results = pool.map(_chunk_worker, chunks)
-            for (lo, hi), (c, v, b) in zip(chunks, results):
-                counts[lo:hi], valid[lo:hi] = c, v
-                if blocks is not None:
-                    blocks[:, lo:hi] = b
+                fork = get_context("fork")
+                with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+                    results = list(pool.map(_chunk_worker, chunks))
     finally:
         _ACTIVE_ENGINE = None
-    return counts, valid, blocks
+    return tuple(None if out[0] is None else np.concatenate(out, axis=-1) for out in zip(*results))
 
 
 def _validity_policy(valid, trials):
@@ -354,21 +345,28 @@ def paired_expectation_difference(config: ExperimentConfig, other: CoefficientDi
 # single-abscissa experiments (small ball, distribution fit)
 
 
+class _PointJob:
+    """(P(x), P'(x)) of batches of trials at one abscissa, for `_run_engine`."""
+
+    def __init__(self, config: ExperimentConfig, x, need_deriv):
+        self.config = config
+        win = support_window(x, config.n)
+        self.window = slice(win.i_lo, win.i_hi + 1)
+        self.b = win.weights
+        self.d = win.weights * win.deriv_ratio if need_deriv else None
+
+    def count_chunk(self, lo, hi):
+        # the name `_run_engine` maps.  Unpadded: chunk edges are multiples of
+        # _CHUNK for any worker count, and only a run's last trials % 4 rows
+        # take OpenBLAS's GEMV remainder kernel, whose last bits can differ
+        xi = _coefficient_rows(self.config, lo, hi, hi - lo)[:, self.window]
+        return xi @ self.b, None if self.d is None else xi @ self.d
+
+
 def _point_values(config, x, need_deriv=False):
-    """(P(x), P'(x)) arrays over all trials at one abscissa."""
-    win = support_window(x, config.n)
-    b = win.weights
-    d = b * win.deriv_ratio
-    sl = slice(win.i_lo, win.i_hi + 1)
-    p = np.empty(config.trials)
-    dp = np.empty(config.trials) if need_deriv else None
-    for lo in range(0, config.trials, 4096):
-        hi = min(lo + 4096, config.trials)
-        xi = _coefficient_rows(config, lo, hi, hi - lo)
-        p[lo:hi] = xi[:, sl] @ b
-        if need_deriv:
-            dp[lo:hi] = xi[:, sl] @ d
-    return p, dp
+    """(P(x), P'(x)) arrays over all trials at one abscissa; P'(x) is None
+    unless need_deriv."""
+    return _run_engine(_PointJob(config, x, need_deriv))
 
 
 @dataclass(frozen=True)

@@ -36,20 +36,17 @@ _TILE_ROWS = 64
 class IntervalSpec:
     """Interval [a, b] in the soft-edge-guarded bulk, with scale M = b.
 
-    The guard requires b <= sqrt(n) - n^(guard_exponent/2) at validation time
-    unless edge_mode is set.
+    The guard requires b <= sqrt(n) - n^0.1 at validation time unless
+    edge_mode is set.
     """
 
     a: float
     b: float
-    guard_exponent: float = 0.2
     edge_mode: bool = False
 
     def __post_init__(self):
         if not (0 <= self.a < self.b):
             raise ConfigError(f"need 0 <= a < b, got [{self.a}, {self.b}]")
-        if not 0 < self.guard_exponent < 1:
-            raise ConfigError("guard_exponent must be in (0, 1)")
 
     @property
     def M(self):
@@ -58,7 +55,7 @@ class IntervalSpec:
     def validate_for_degree(self, n):
         if self.edge_mode:
             return
-        guard = n ** (self.guard_exponent / 2.0)
+        guard = n**0.1
         if self.b > math.sqrt(n) - guard:
             raise ConfigError(
                 f"b={self.b} violates soft-edge guard sqrt({n}) - {guard:.3g}; "
@@ -76,7 +73,6 @@ class RootCountResult:
     count: int
     roots: np.ndarray
     validity: bool
-    delta_used: float
     kac_rice_value: float = field(default=math.nan)
 
 
@@ -92,14 +88,13 @@ class GridKernel:
     trials.
     """
 
-    def __init__(self, n, a, b, h0=DEFAULT_H0, tau=TAU_DEFAULT):
+    def __init__(self, n, a, b, h0=DEFAULT_H0):
         if h0 <= 0:
             raise ConfigError("scan step must be > 0")
         self.n = int(n)
         m = max(1, int(math.ceil((b - a) / h0 - 1e-9)))
         self.grid = np.linspace(a, b, m + 1)
-        self.h0 = float(h0)
-        self.tau = float(tau)
+        self.tau = TAU_DEFAULT
         lo, hi, _ = window_bounds(self.grid, self.n, self.tau)
         self.tiles = []  # (first row, first index, stacked value/derivative block)
         for r0 in range(0, self.grid.size, _TILE_ROWS):
@@ -179,9 +174,9 @@ class LocalEvaluator:
         return np.exp(-0.5 * x * x + self.idx * math.log(x) - self.half_log_fact)
 
 
-def _bisect_root(f, lo, hi, flo, xtol=BISECT_XTOL):
+def _bisect_root(f, lo, hi, flo):
     neg_lo = flo < 0
-    while hi - lo > xtol:
+    while hi - lo > BISECT_XTOL:
         mid = 0.5 * (lo + hi)
         if (f(mid) < 0) == neg_lo:
             lo = mid
@@ -190,10 +185,10 @@ def _bisect_root(f, lo, hi, flo, xtol=BISECT_XTOL):
     return 0.5 * (lo + hi)
 
 
-def _hunt_same_sign_cell(f, lo, hi, flo, fhi, delta, floor=REFINE_FLOOR):
+def _hunt_same_sign_cell(f, lo, hi, flo, fhi, delta):
     """Search a same-sign cell for a hidden even number of crossings.
 
-    Recursive halving down to `floor`; returns (roots, ambiguous).  ambiguous
+    Recursive halving down to REFINE_FLOOR; returns (roots, ambiguous).  ambiguous
     is set when the floor is hit with |p| still below 10*delta, i.e. the cell
     cannot be certified either way.  Cells whose endpoint values exceed the
     curvature dip bound cannot reach zero inside and resolve immediately.
@@ -202,7 +197,7 @@ def _hunt_same_sign_cell(f, lo, hi, flo, fhi, delta, floor=REFINE_FLOOR):
         return [], False  # root exactly on the boundary; owned by the flip scan
     if min(abs(flo), abs(fhi)) > _DIP_CURVATURE * (hi - lo) ** 2:
         return [], False
-    if hi - lo <= floor:
+    if hi - lo <= REFINE_FLOOR:
         return [], min(abs(flo), abs(fhi)) < 10.0 * delta
     mid = 0.5 * (lo + hi)
     fmid = f(mid)
@@ -211,8 +206,8 @@ def _hunt_same_sign_cell(f, lo, hi, flo, fhi, delta, floor=REFINE_FLOOR):
             _bisect_root(f, lo, mid, flo),
             _bisect_root(f, mid, hi, fmid),
         ], False
-    r1, a1 = _hunt_same_sign_cell(f, lo, mid, flo, fmid, delta, floor)
-    r2, a2 = _hunt_same_sign_cell(f, mid, hi, fmid, fhi, delta, floor)
+    r1, a1 = _hunt_same_sign_cell(f, lo, mid, flo, fmid, delta)
+    r2, a2 = _hunt_same_sign_cell(f, mid, hi, fmid, fhi, delta)
     return r1 + r2, a1 or a2
 
 
@@ -314,7 +309,6 @@ def count_sign_changes(sample: WeylSample, iv: IntervalSpec, h0=DEFAULT_H0,
         count=int(scan.counts[0]),
         roots=scan.roots[0],
         validity=not scan.ambiguous[0],
-        delta_used=delta,
     )
 
 
@@ -344,13 +338,13 @@ def validity_check(sample: WeylSample, iv: IntervalSpec, delta,
     return bool(_scan_sample(sample, iv, h0, kernel, delta).valid[0])
 
 
-def _refined_metric_min(sample, lo, hi, step=REFINE_FLOOR):
-    """Minimum of |P| + |P'| on the points lo, lo + step, ... of a grid cell.
+def _refined_metric_min(sample, lo, hi):
+    """Minimum of |P| + |P'| at lo, lo + REFINE_FLOOR, ... in a grid cell.
 
     All points share one `LocalEvaluator` from the first to the last point,
     so P and P' come from one product each.
     """
-    xs = np.arange(lo, hi + step, step)
+    xs = np.arange(lo, hi + REFINE_FLOOR, REFINE_FLOOR)
     p, dp = LocalEvaluator(sample, xs[0], xs[-1])(xs)
     return float((np.abs(p) + np.abs(dp)).min())
 
@@ -425,7 +419,7 @@ def _abs_deriv_panel(ev, lo, hi):
     return half * float(_GL_WEIGHTS @ np.abs(ev(mid + half * _GL_NODES)[1]))
 
 
-def _integrate_abs_deriv(ev, lo, hi, rel=1e-6, max_depth=12):
+def _integrate_abs_deriv(ev, lo, hi):
     if hi <= lo:
         return 0.0
     whole = _abs_deriv_panel(ev, lo, hi)
@@ -437,7 +431,7 @@ def _integrate_abs_deriv(ev, lo, hi, rel=1e-6, max_depth=12):
         left = _abs_deriv_panel(ev, a, m)
         right = _abs_deriv_panel(ev, m, b)
         fine = left + right
-        if abs(fine - coarse) <= rel * max(abs(fine), 1e-300) or depth >= max_depth:
+        if abs(fine - coarse) <= 1e-6 * max(abs(fine), 1e-300) or depth >= 12:
             total += fine
         else:
             stack.append((a, m, left, depth + 1))
@@ -458,6 +452,5 @@ def analyze(sample: WeylSample, iv: IntervalSpec, h0=DEFAULT_H0,
         count=res.count,
         roots=res.roots,
         validity=valid,
-        delta_used=delta,
         kac_rice_value=kr,
     )

@@ -56,6 +56,33 @@ def test_worker_env_not_an_integer_is_config_error(tmp_path, monkeypatch, capsys
     assert "error[config]" in err and "WEYLZEROS_WORKERS" in err
 
 
+POINT_SMALL = {
+    "smallball": ("[smallball]\ndist = rademacher\nn = 200\nx = 8.0\ndeltas = 0.05,0.1\n"
+                  "trials = 1000\n", "smallball.csv"),
+    "fit": ("[fit]\ndist = rademacher\nn = 200\nx = 8.0\ntrials = 1000\n", "fit.csv"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(POINT_SMALL))
+def test_point_experiments_read_worker_env(tmp_path, monkeypatch, capsys, sub):
+    monkeypatch.setenv("WEYLZEROS_WORKERS", "two")
+    cfg = write_config(tmp_path, POINT_SMALL[sub][0])
+    rc = cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert rc == cli.EXIT_CODES["config"]
+    assert "WEYLZEROS_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", sorted(POINT_SMALL))
+def test_point_experiments_rerun_at_other_worker_count(tmp_path, sub):
+    text, name = POINT_SMALL[sub]
+    out1, out2 = tmp_path / "w2", tmp_path / "w1"
+    assert cli.main([sub, "--config", write_config(tmp_path, text), "--out", str(out1),
+                     "--seed", "6", "--workers", "2"]) == 0
+    assert cli.main([sub, "--config", str(out1 / "manifest.json"), "--out", str(out2),
+                     "--workers", "1"]) == 0
+    assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_negative_workers_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, EXPECT_SMALL)
     rc = cli.main(["expect", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,9 @@ class TestDeterminism:
         s2 = mc.run_expectation(make_config(workers=2, trials=600))
         assert np.array_equal(s1.per_trial_counts, s2.per_trial_counts)
         assert s1.mean == s2.mean and s1.se_mean == s2.se_mean
+        b1 = mc.run_smallball(10.0, [0.05, 0.1], make_config(workers=1, trials=600))
+        b2 = mc.run_smallball(10.0, [0.05, 0.1], make_config(workers=2, trials=600))
+        assert b1 == b2
 
     def test_short_last_chunk_matches_full_chunk(self):
         # trials 256..299 end a 300-trial run in a 44-wide chunk and sit in a
@@ -154,6 +158,26 @@ class TestBlocks:
     def test_block_width_guard(self):
         with pytest.raises(ConfigError):
             mc.block_covariance(make_config(trials=10), edges=np.arange(2.0, 18.0, 0.01))
+
+
+class TestPointValues:
+    # 1000 trials: three full chunks of 256 and a short last one of 232
+    def test_bit_identical_across_worker_counts(self):
+        cfg = make_config(dist=dists.rademacher(), trials=1000)
+        one = mc._point_values(cfg, 10.0, need_deriv=True)
+        two = mc._point_values(dataclasses.replace(cfg, workers=2), 10.0, need_deriv=True)
+        assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
+        p, dp = mc._point_values(cfg, 10.0)
+        assert dp is None and np.array_equal(p, one[0])
+
+    def test_matches_per_trial_evaluate(self):
+        cfg = make_config(dist=dists.uniform_sym(), trials=1000, workers=2)
+        p, dp = mc._point_values(cfg, 10.0, need_deriv=True)
+        win = basis.support_window(10.0, cfg.n)
+        for t in range(cfg.trials):
+            xi = dists.sample(cfg.dist, dists.trial_stream(cfg.seed, t), cfg.n + 1)
+            ref_p, ref_dp = basis.evaluate(basis.WeylSample(cfg.n, xi), win)
+            assert abs(p[t] - ref_p) <= 1e-12 and abs(dp[t] - ref_dp) <= 1e-12, t
 
 
 class TestSmallBall:
