@@ -6,8 +6,6 @@ import argparse
 import configparser
 import csv
 import json
-import math
-import os
 import sys
 from pathlib import Path
 

@@ -98,6 +98,11 @@ def excess_cumulants(dist: CoefficientDistribution) -> tuple[float, float]:
     return dist.m3, dist.m4 - 3.0
 
 
+def _trial_key(seed, index):
+    """Philox key words of trial `index`: the seed's low 64 bits, then the index."""
+    return int(seed) & 0xFFFFFFFFFFFFFFFF, int(index)
+
+
 def trial_stream(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one trial, a pure function of (seed, index).
 
@@ -105,8 +110,30 @@ def trial_stream(seed: int, index: int) -> np.random.Generator:
     independent streams without any shared state, so parallel trials are
     order-independent and reproducible.
     """
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) | (int(index) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    low, high = _trial_key(seed, index)
+    return np.random.Generator(np.random.Philox(key=low | (high << 64)))
+
+
+def trial_rekeyer(stream: np.random.Generator, seed: int):
+    """rekey(index): reset `stream`, a Philox generator, in place to the fresh
+    state of `trial_stream(seed, index)`, so its next draws are bit-identical
+    to that stream's.
+
+    Building a Philox costs several times a reset, since its constructor draws
+    OS entropy that the key then overrides.  The state dict is made once here
+    (counter 0, empty buffer, no spare 32-bit half) and only its key changes.
+    """
+    state = stream.bit_generator.state
+    state["state"]["counter"][:] = 0
+    state["buffer"][:] = 0
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    key = state["state"]["key"]
+
+    def rekey(index):
+        key[:] = _trial_key(seed, index)
+        stream.bit_generator.state = state
+
+    return rekey
 
 
 def sample(dist: CoefficientDistribution, stream: np.random.Generator, count: int) -> np.ndarray:
@@ -118,19 +145,25 @@ def sample(dist: CoefficientDistribution, stream: np.random.Generator, count: in
     """
     if count < 1:
         raise ConfigError("sample count must be >= 1")
-    u = stream.random(count)
-    return _from_uniforms(dist, u)
+    return _from_uniforms(dist, stream.random(count))
 
 
 def _from_uniforms(dist, u):
+    """Map the uniforms `u` to draws of `dist` in place, and return `u`.
+
+    In place, so a chunk's block of coefficients needs no temporaries of its
+    size; each kind's arithmetic is elementwise, so the bits do not depend on
+    the block's shape.
+    """
     if dist.kind == "gaussian":
-        return ndtri(np.maximum(u, _U_FLOOR))
+        return ndtri(np.maximum(u, _U_FLOOR, out=u), out=u)
     if dist.kind == "rademacher":
-        return 1.0 - 2.0 * (u < 0.5)
+        # -1 below 1/2, else +1: u - 1/2 is never -0, and +0 only at u = 1/2
+        return np.copysign(1.0, np.subtract(u, 0.5, out=u), out=u)
     if dist.kind == "uniform_sym":
-        return _SQRT3 * (2.0 * u - 1.0)
+        return np.multiply(np.subtract(np.multiply(u, 2.0, out=u), 1.0, out=u), _SQRT3, out=u)
     if dist.kind == "discrete_sym":
         edges = np.cumsum(dist.probs)
-        idx = np.minimum(np.searchsorted(edges, u, side="right"), dist.values.size - 1)
-        return dist.values[idx]
+        # an index past the last edge (rounding in the cumsum) clips to the last atom
+        return np.take(dist.values, np.searchsorted(edges, u, side="right"), mode="clip", out=u)
     raise ConfigError(f"unsupported coefficient distribution kind: {dist.kind!r}")

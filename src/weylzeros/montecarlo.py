@@ -6,7 +6,9 @@ Every experiment, small ball and fit included, maps its trials in chunks
 over the worker pool with `_run_engine`.  Every trial owns a counter-based
 stream derived from (seed, trial index), all shared inputs are immutable, and
 chunk outputs are joined in trial order, so results are bit-identical for any
-worker count.
+worker count.  A chunk draws its coefficients with one Philox, re-keyed to
+each trial's fresh `trial_stream(seed, t)` state, and transforms the whole
+block at once.
 """
 
 import ctypes
@@ -24,7 +26,7 @@ from scipy.stats import norm
 
 from . import edgeworth, gaussian_theory
 from .basis import support_window
-from .dists import CoefficientDistribution, _from_uniforms, trial_stream
+from .dists import CoefficientDistribution, _from_uniforms, trial_rekeyer, trial_stream
 from .errors import ConfigError, NumericalInstabilityError, ResourceBudgetError
 from .roots import DEFAULT_H0, GridKernel, IntervalSpec, scan_block
 
@@ -147,11 +149,17 @@ class _TrialEngine:
 
 def _coefficient_rows(config, lo, hi, rows):
     """(rows, n+1) block whose row k holds trial lo + k's coefficients, drawn
-    from its own counter-based stream, for k < hi - lo; later rows are zero."""
-    n1 = config.n + 1
-    out = np.zeros((rows, n1))
-    for t in range(lo, hi):
-        out[t - lo] = _from_uniforms(config.dist, trial_stream(config.seed, t).random(n1))
+    from the stream of `trial_stream(seed, lo + k)`, for k < hi - lo; later
+    rows are zero.  One Philox, re-keyed per trial, draws the uniforms into
+    the block, and the law's transform maps them in place once."""
+    out = np.zeros((rows, config.n + 1))
+    real = out[: hi - lo]
+    stream = trial_stream(config.seed, lo)
+    rekey = trial_rekeyer(stream, config.seed)
+    for k, row in enumerate(real):
+        rekey(lo + k)
+        stream.random(out=row)
+    _from_uniforms(config.dist, real)
     return out
 
 
@@ -356,11 +364,12 @@ class _PointJob:
         self.d = win.weights * win.deriv_ratio if need_deriv else None
 
     def count_chunk(self, lo, hi):
-        # the name `_run_engine` maps.  Unpadded: chunk edges are multiples of
-        # _CHUNK for any worker count, and only a run's last trials % 4 rows
-        # take OpenBLAS's GEMV remainder kernel, whose last bits can differ
-        xi = _coefficient_rows(self.config, lo, hi, hi - lo)[:, self.window]
-        return xi @ self.b, None if self.d is None else xi @ self.d
+        # the name `_run_engine` maps.  Padded to _CHUNK rows like the trial
+        # engine: OpenBLAS's GEMV runs rows in groups of 4, so every real row
+        # takes the main kernel and its bits never depend on the trial count
+        xi = _coefficient_rows(self.config, lo, hi, _CHUNK)[:, self.window]
+        real = slice(0, hi - lo)
+        return (xi @ self.b)[real], None if self.d is None else (xi @ self.d)[real]
 
 
 def _point_values(config, x, need_deriv=False):

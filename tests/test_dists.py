@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from weylzeros import dists
 from weylzeros.errors import ConfigError
@@ -98,3 +99,38 @@ def test_discrete_bad_tables():
 def test_sample_count_validation():
     with pytest.raises(ConfigError):
         dists.sample(dists.gaussian(), dists.trial_stream(0, 0), 0)
+
+
+@pytest.mark.parametrize("seed", [0, -7, 2**63 + 5])
+def test_rekey_matches_fresh_stream_after_partial_draws(seed):
+    stream = dists.trial_stream(seed, 3)
+    # a spare 32-bit half and a part-used 4-word buffer (1 + 5 words drawn),
+    # before and after the re-key state is made
+    stream.integers(0, 2**32, dtype=np.uint32)
+    stream.random(5)
+    assert stream.bit_generator.state["buffer_pos"] == 2
+    rekey = dists.trial_rekeyer(stream, seed)
+    for index in (3, 2**40 + 1, 9):
+        stream.integers(0, 2**32, dtype=np.uint32)
+        stream.random(5)
+        rekey(index)
+        fresh = dists.trial_stream(seed, index)
+        assert np.array_equal(stream.integers(0, 2**32, size=3, dtype=np.uint32),
+                              fresh.integers(0, 2**32, size=3, dtype=np.uint32))
+        assert np.array_equal(stream.random(401), fresh.random(401))
+
+
+@pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.kind)
+def test_in_place_transform_matches_reference_formulas(dist):
+    edges = [0.0, 2.0**-53, np.nextafter(0.5, 0.0), 0.5, np.nextafter(1.0, 0.0)]
+    u = np.concatenate([edges, np.random.default_rng(4).random(4091)]).reshape(64, 64)
+    reference = {
+        "gaussian": lambda u: ndtri(np.maximum(u, 1e-300)),
+        "rademacher": lambda u: 1.0 - 2.0 * (u < 0.5),
+        "uniform_sym": lambda u: np.sqrt(3.0) * (2.0 * u - 1.0),
+        "discrete_sym": lambda u: dist.values[np.minimum(
+            np.searchsorted(np.cumsum(dist.probs), u, side="right"), dist.values.size - 1)],
+    }[dist.kind](u)
+    block = u.copy()
+    assert dists._from_uniforms(dist, block) is block
+    assert block.tobytes() == reference.tobytes()

@@ -103,6 +103,34 @@ def test_property_engine_matches_per_sample(law, seed):
             assert counts[t] == res.count, t
 
 
+def _laws():
+    tables = st.tuples(
+        st.lists(st.floats(-5, 5), min_size=2, max_size=5, unique=True),
+        st.lists(st.floats(0.05, 1.0), min_size=5, max_size=5),
+    ).filter(lambda t: np.var(t[0]) > 1e-6)
+    named = st.sampled_from([dists.gaussian(), dists.rademacher(), dists.uniform_sym()])
+    return named | tables.map(lambda t: dists.discrete_sym(t[0], t[1][: len(t[0])]))
+
+
+@given(
+    law=_laws(),
+    n=st.integers(1, 1600),
+    seed=st.sampled_from([0, -1, -(2**70) + 3, 2**63, 2**64 + 9]) | st.integers(-(2**65), 2**65),
+    lo=st.integers(0, 2**40),
+    width=st.integers(0, 5),
+    pad=st.integers(0, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_coefficient_rows_are_the_trial_streams(law, n, seed, lo, width, pad):
+    cfg = make_config(n=n, iv=roots.IntervalSpec(2.0, 3.0, edge_mode=True), dist=law, seed=seed)
+    out = mc._coefficient_rows(cfg, lo, lo + width, width + pad)
+    assert out.shape == (width + pad, n + 1)
+    for k in range(width):
+        ref = dists.sample(law, dists.trial_stream(seed, lo + k), n + 1)
+        assert np.array_equal(out[k], ref), k
+    assert not out[width:].any()
+
+
 class TestExpectation:
     def test_summary_fields(self):
         s = mc.run_expectation(make_config(trials=2000, workers=2))
@@ -178,6 +206,18 @@ class TestPointValues:
             xi = dists.sample(cfg.dist, dists.trial_stream(cfg.seed, t), cfg.n + 1)
             ref_p, ref_dp = basis.evaluate(basis.WeylSample(cfg.n, xi), win)
             assert abs(p[t] - ref_p) <= 1e-12 and abs(dp[t] - ref_dp) <= 1e-12, t
+
+
+@given(st.integers(1, 1100), st.integers(1, 1100))
+@settings(max_examples=12, deadline=None)
+def test_property_point_values_do_not_depend_on_trial_count(t1, t2):
+    short, long = sorted((t1, t2))
+    if short == long:
+        long += 1
+    cfg = make_config(trials=long)
+    p, dp = mc._point_values(cfg, 10.0, need_deriv=True)
+    ps, dps = mc._point_values(dataclasses.replace(cfg, trials=short), 10.0, need_deriv=True)
+    assert np.array_equal(ps, p[:short]) and np.array_equal(dps, dp[:short])
 
 
 class TestSmallBall:
