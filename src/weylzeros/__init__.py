@@ -4,7 +4,7 @@ distributions."""
 
 __version__ = "0.1.0"
 
-from . import basis, cli, dists, edgeworth, gaussian_theory, lcd, montecarlo, roots
+from . import basis, dists, edgeworth, gaussian_theory, lcd, montecarlo, roots
 from .basis import BasisWindow, WeylSample, basis_log_weight, evaluate, support_window
 from .dists import (
     CoefficientDistribution,

@@ -1,13 +1,14 @@
 """Edgeworth machinery: Hermite polynomials, averaged cumulants, correction
-polynomials, expansion densities, the Hermite-moment tables, the localized
-asymptotic sum with its closed form, and the assembly of the expectation
-correction constant from those pieces.
+polynomials, expansion densities, the two Gaussian moment functionals, the
+localized asymptotic sum with its closed form, and the assembly of the
+expectation correction constant from those pieces.
 
 Conventions: probabilists' Hermite polynomials (H2 = x^2 - 1); a multi-index
-is an exponent vector (n1..nd) of weight sum(n) in {3, 4}; the averaged
-cumulant attached to it is
+is an exponent vector (n1, n2) over the value and derivative coordinates
+(or (n1,) for the value coordinate alone) of weight n1 + n2 in {3, 4}; the
+averaged cumulant attached to it is
 
-    c_n(alpha) = C_{|alpha|} * (1/N) * sum_i  b_i^{n1} c_i^{n2} (...),
+    c_n(alpha) = C_{|alpha|} * (1/N) * sum_i  b_i^{n1} c_i^{n2},
 
 with b, c the sqrt(N)-normalized value/derivative basis weights and
 C_3 = E xi^3, C_4 = E xi^4 - 3.
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from numpy.polynomial import hermite_e
 
-from .basis import TAU_DEFAULT, BasisWindow, basis_log_weight, support_window
+from .basis import TAU_DEFAULT, BasisWindow, support_window
 from .dists import CoefficientDistribution, excess_cumulants
 from .errors import AssemblyError, ConfigError
 
@@ -54,27 +56,19 @@ def hermite_coeffs(k):
     """Monomial coefficients of H_k, ascending degree."""
     if k < 0 or k > HERMITE_MAX:
         raise ConfigError(f"hermite order must be in [0, {HERMITE_MAX}]")
-    c_prev = np.array([1.0])
-    if k == 0:
-        return c_prev
-    c = np.array([0.0, 1.0])
-    for j in range(1, k):
-        nxt = np.zeros(j + 2)
-        nxt[1:] = c  # x * H_j
-        nxt[: j] -= j * c_prev
-        c_prev, c = c, nxt
-    return c
+    return hermite_e.herme2poly([0.0] * k + [1.0])
 
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """Exponent vector over the walk coordinates; weight = total moment order."""
+    """Exponent vector over the value and derivative coordinates; weight =
+    total moment order."""
 
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if any(e < 0 for e in self.entries) or len(self.entries) > 4:
-            raise ConfigError("multi-index entries must be >= 0, dimension <= 4")
+        if any(e < 0 for e in self.entries) or len(self.entries) > 2:
+            raise ConfigError("multi-index entries must be >= 0, dimension <= 2")
 
     @property
     def weight(self):
@@ -140,8 +134,6 @@ def avg_cumulant(alpha, window: BasisWindow, dist: CoefficientDistribution, N):
         alpha = MultiIndex(tuple(alpha))
     if alpha.weight not in (3, 4):
         raise ConfigError("averaged cumulants defined for weights 3 and 4 only")
-    if alpha.dim not in (1, 2):
-        raise ConfigError("single-window cumulants are 1- or 2-dimensional")
     c3, c4 = excess_cumulants(dist)
     const = c3 if alpha.weight == 3 else c4
     if const == 0.0:
@@ -152,49 +144,14 @@ def avg_cumulant(alpha, window: BasisWindow, dist: CoefficientDistribution, N):
     return const * N ** (alpha.weight / 2.0 - 1.0) * s
 
 
-def avg_cumulant_pair(alpha, wx: BasisWindow, wy: BasisWindow, dist, N):
-    """c_n(alpha, X) for the 4-d walk built from abscissas x and y."""
-    if not isinstance(alpha, MultiIndex):
-        alpha = MultiIndex(tuple(alpha))
-    if alpha.dim != 4 or alpha.weight not in (3, 4):
-        raise ConfigError("pair cumulants take 4-d multi-indices of weight 3 or 4")
-    c3, c4 = excess_cumulants(dist)
-    const = c3 if alpha.weight == 3 else c4
-    if const == 0.0:
-        return 0.0
-    lo = min(wx.i_lo, wy.i_lo)
-    hi = max(wx.i_hi, wy.i_hi)
-    i = np.arange(lo, hi + 1)
-    a1, a2, a3, a4 = alpha.entries
-    lw = (a1 + a2) * basis_log_weight(i, wx.x) + (a3 + a4) * basis_log_weight(i, wy.x)
-    keep = lw > -700
-    if not np.any(keep):
-        return 0.0
-    i = i[keep]
-    term = np.exp(lw[keep])
-    term *= ((i - wx.x**2) / wx.x) ** a2
-    term *= ((i - wy.x**2) / wy.x) ** a4
-    return const * N ** (alpha.weight / 2.0 - 1.0) * float(term.sum())
-
-
-def cumulant_table(window, dist, N, d=2):
-    """CumulantTable at one abscissa (d = 1 or 2)."""
+def cumulant_table(window, dist, N):
+    """The 2-d CumulantTable of (value, derivative) at one abscissa."""
     entries = {
         a.entries: avg_cumulant(a, window, dist, N)
         for w in (3, 4)
-        for a in multi_indices(d, w)
+        for a in multi_indices(2, w)
     }
-    return CumulantTable(d=d, N=float(N), entries=entries)
-
-
-def cumulant_table_pair(wx, wy, dist, N):
-    """CumulantTable for the 4-d walk at abscissas x and y."""
-    entries = {
-        a.entries: avg_cumulant_pair(a, wx, wy, dist, N)
-        for w in (3, 4)
-        for a in multi_indices(4, w)
-    }
-    return CumulantTable(d=4, N=float(N), entries=entries)
+    return CumulantTable(d=2, N=float(N), entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +168,14 @@ def gamma1(table: CumulantTable, x):
     return total
 
 
-def gamma2(table: CumulantTable, x):
-    """Order-2 correction as displayed: weight-4 part plus half the squared
-    weight-3 part, with Hermite products H_alpha * H_beta in the square."""
-    total = 0.0
-    for a in multi_indices(table.d, 4):
-        c = table[a]
-        if c != 0.0:
-            total = total + (multiplicity(a) / 24.0) * c * hermite_multi(a, x)
-    g1 = gamma1(table, x)
-    return total + 0.5 * g1 * g1
-
-
 def _gamma2_convolved(table: CumulantTable, x):
     """Order-2 correction with the inversion-formula index sums H_{alpha+beta}.
 
-    The displayed square uses Hermite products, whose Gaussian mean is not
-    zero once third cumulants are present; applying the squared derivative
-    operator to the density instead yields H at the summed multi-index, which
-    is orthogonal to constants and keeps the expansion a signed probability
-    density.
+    The paper's displayed square uses Hermite products, whose Gaussian mean
+    is not zero once third cumulants are present; applying the squared
+    derivative operator to the density instead yields H at the summed
+    multi-index, which is orthogonal to constants and keeps the expansion a
+    signed probability density.
     """
     total = 0.0
     for a in multi_indices(table.d, 4):
@@ -303,7 +248,7 @@ def density_1d(params: EdgeworthDensity1D, x):
 
 
 # ---------------------------------------------------------------------------
-# Hermite-moment tables (the two linear functionals of the assembly)
+# The two Gaussian moment functionals of the assembly
 
 
 def _gauss_abs_moment(m):
@@ -326,31 +271,19 @@ def density_at_zero_poly(coeffs):
     return float(coeffs[0]) / _SQRT_2PI
 
 
-def hermite_moment_abs(k):
-    """integral |t| H_k(t) phi(t) dt in closed form; exactly 0 for odd k."""
-    if k < 0 or k > 10:
-        raise ConfigError("hermite_moment_abs supports k <= 10")
-    if k % 2 == 1:
-        return 0.0
-    return abs_moment_poly(hermite_coeffs(k))
-
-
-def hermite_density_at_zero(k):
-    """H_k(0) phi(0), the delta -> 0 limit of the windowed average; 0 for odd k."""
-    if k < 0 or k > 10:
-        raise ConfigError("hermite_density_at_zero supports k <= 10")
-    if k % 2 == 1:
-        return 0.0
-    return density_at_zero_poly(hermite_coeffs(k))
-
-
 # ---------------------------------------------------------------------------
 # Localized asymptotic sum and its closed form
 
 
 def asymptotic_sum_constant(t, s):
     """C(t, s) with sum_i e^{-t x^2/2} x^{ti}/(i!)^{t/2} ((i-x^2)/x)^s
-    = C(t, s) x^{-(t-2)/2} + exponentially small remainder."""
+    = C(t, s) x^{-(t-2)/2} (1 + O(x^-2)) for even s.
+
+    For odd s the Laplace integral of the odd power vanishes, so the leading
+    coefficient is 0.0 and the sum is smaller by a factor O(1/x).
+    """
+    if s % 2 == 1:
+        return 0.0
     return (
         (2.0 * math.pi) ** (-t / 4.0)
         * (4.0 / t) ** ((s + 1) / 2.0)

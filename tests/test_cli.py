@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,6 +180,21 @@ def test_density_csv(tmp_path):
     rows = list(csv.reader(open(out / "density.csv")))
     assert rows[0] == ["x", "rho"]
     assert float(rows[1][1]) == pytest.approx(1 / math.pi, abs=1e-3)
+
+
+def test_python_m_runs_without_runpy_warning(tmp_path):
+    # the package must not import cli itself, or runpy warns before main runs
+    cfg = write_config(tmp_path, "[density]\nn = 400\na = 2.0\nb = 6.0\nstep = 1.0\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "weylzeros.cli", "density",
+         "--config", cfg, "--out", str(tmp_path / "d")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "d" / "density.csv").exists()
 
 
 def test_lcd_profile_and_summary(tmp_path, capsys):

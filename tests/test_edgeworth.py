@@ -40,6 +40,9 @@ def test_hermite_matches_reference(k, x):
 def test_hermite_order_cap():
     with pytest.raises(ConfigError):
         ew.hermite(13, 0.0)
+    for k in (-1, 13):
+        with pytest.raises(ConfigError):
+            ew.hermite_coeffs(k)
 
 
 def test_hermite_coeffs_match_evaluation():
@@ -59,6 +62,8 @@ def test_hermite_multi_examples():
     c = ew.MultiIndex((3, 0))
     prod = ew.hermite_multi(c, [2.0, 0.0]) * ew.hermite_multi(c, [2.0, 0.0])
     assert prod == pytest.approx(4.0)
+    with pytest.raises(ConfigError):
+        ew.MultiIndex((1, 1, 1))
 
 
 def test_hermite_orthogonality_by_quadrature():
@@ -100,22 +105,22 @@ def at_zero_quadrature(coeffs):
 
 @pytest.mark.parametrize("k", range(0, 11))
 def test_hermite_moment_abs_vs_quadrature(k):
-    assert ew.hermite_moment_abs(k) == pytest.approx(
-        abs_moment_quadrature(ew.hermite_coeffs(k)), abs=1e-10
-    )
+    c = ew.hermite_coeffs(k)
+    assert ew.abs_moment_poly(c) == pytest.approx(abs_moment_quadrature(c), abs=1e-10)
 
 
 @pytest.mark.parametrize("k", range(0, 11))
 def test_hermite_density_at_zero_vs_quadrature(k):
-    assert ew.hermite_density_at_zero(k) == pytest.approx(
-        at_zero_quadrature(ew.hermite_coeffs(k)), abs=1e-10
-    )
+    c = ew.hermite_coeffs(k)
+    assert ew.density_at_zero_poly(c) == pytest.approx(at_zero_quadrature(c), abs=1e-10)
 
 
 def test_moment_table_values():
-    assert ew.hermite_moment_abs(4) == pytest.approx(-math.sqrt(2 / math.pi), rel=1e-14)
-    assert ew.hermite_density_at_zero(4) == pytest.approx(3 / SQRT_2PI, rel=1e-14)
-    assert ew.hermite_moment_abs(3) == 0.0
+    h3, h4 = ew.hermite_coeffs(3), ew.hermite_coeffs(4)
+    assert ew.abs_moment_poly(h4) == pytest.approx(-math.sqrt(2 / math.pi), rel=1e-14)
+    assert ew.density_at_zero_poly(h4) == pytest.approx(3 / SQRT_2PI, rel=1e-14)
+    assert ew.abs_moment_poly(h3) == 0.0
+    assert ew.density_at_zero_poly(h3) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +174,6 @@ def test_gamma1_even_pairing_vanishes():
         lambda x: (x**4 + 1) * ew.gamma1(t1, [x]) * float(phi(x)), -10, 10, limit=200
     )
     assert abs(val) < 1e-10
-
-
-def test_gamma2_forms():
-    zero = {a.entries: 0.0 for a in ew.multi_indices(2, 3) + ew.multi_indices(2, 4)}
-    t = ew.CumulantTable(d=2, N=9.0, entries=zero)
-    assert ew.gamma2(t, [0.4, 0.4]) == 0.0
-    only40 = dict(zero); only40[(4, 0)] = 1.3
-    t40 = ew.CumulantTable(d=2, N=9.0, entries=only40)
-    x = [0.7, -0.2]
-    assert ew.gamma2(t40, x) == pytest.approx(1.3 / 24 * ew.hermite(4, 0.7))
-    only30 = dict(zero); only30[(3, 0)] = -0.6
-    t30 = ew.CumulantTable(d=2, N=9.0, entries=only30)
-    assert ew.gamma2(t30, x) == pytest.approx(0.6**2 / 72 * ew.hermite(3, 0.7) ** 2)
-    assert ew.gamma2(t30, [0.0, 1.1]) == 0.0
 
 
 def test_density_q2_gaussian_case():
@@ -253,6 +244,18 @@ class TestAsymptoticSum:
         exact, closed = ew.asymptotic_sum(t, s, x, n)
         assert abs(exact / closed - 1) <= 10.0 / (x * x)
 
+    @pytest.mark.parametrize("t", [3, 4])
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_odd_power_has_no_leading_term(self, t, s):
+        # the sum of an odd power is below 1/x times the size the even-s
+        # formula gives, so its leading Laplace coefficient is zero
+        assert ew.asymptotic_sum_constant(t, s) == 0.0
+        size = (2 * math.pi) ** (-t / 4) * (4 / t) ** ((s + 1) / 2) * math.gamma((s + 1) / 2)
+        for x in (20.0, 40.0, 80.0):
+            w = basis.support_window(x, int(x * x + 30 * x + 200))
+            direct = float(np.sum(np.exp(t * w.log_w) * w.deriv_ratio**s))
+            assert abs(direct) / (size * x ** (-(t - 2) / 2)) < 1 / x
+
     def test_preconditions(self):
         with pytest.raises(ConfigError):
             ew.asymptotic_sum(4, 1, 30.0, 2000)  # odd s
@@ -304,24 +307,3 @@ def test_assembly_mismatch_raises(monkeypatch):
     monkeypatch.setattr(ew, "K4_COEFF", ew.K4_COEFF * 1.01)
     with pytest.raises(AssemblyError):
         ew.expectation_correction(1.0, 2.0, dists.rademacher())
-
-
-def test_pair_cumulant_table_4d():
-    # separated abscissas: mixed entries vanish, pure-x entries match the
-    # single-window table, and the correction polynomials evaluate
-    wx = basis.support_window(10.0, 1600, 60.0)
-    wy = basis.support_window(25.0, 1600, 60.0)
-    t4 = ew.cumulant_table_pair(wx, wy, dists.rademacher(), 25.0)
-    t2 = ew.cumulant_table(wx, dists.rademacher(), 25.0)
-    assert t4[(4, 0, 0, 0)] == pytest.approx(t2[(4, 0)], rel=1e-12)
-    assert t4[(0, 4, 0, 0)] == pytest.approx(t2[(0, 4)], rel=1e-12)
-    assert abs(t4[(2, 0, 2, 0)]) < 1e-40
-    assert abs(t4[(1, 1, 1, 1)]) < 1e-40
-    val = ew.gamma2(t4, [0.1, 0.2, 0.3, 0.4])
-    split = (
-        ew.gamma2(t2, [0.1, 0.2])
-        + ew.gamma2(ew.cumulant_table(wy, dists.rademacher(), 25.0), [0.3, 0.4])
-    )
-    # gamma'' couples the two abscissas through the product of gamma1 parts,
-    # which vanish for a symmetric law, so the blocks decouple exactly here
-    assert val == pytest.approx(split, rel=1e-10)
