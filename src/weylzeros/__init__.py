@@ -17,10 +17,8 @@ from .dists import (
     uniform_sym,
 )
 from .gaussian_theory import (
-    IntensityProfile,
     expected_count_gaussian,
     intensity_gaussian,
-    intensity_profile,
     pair_correlation_limit,
     variance_constant_weyl,
 )

@@ -136,12 +136,15 @@ def window_bounds(x, n, tau):
     -(offset/x)^2/4 near the peak, so at offset w it is only about
     -(sqrt(tau)+2)^2/4 = -24 at tau = 60, and the lower edge drops terms of
     weight up to about exp(-24) at large x (measured at tau = 60: -46 at
-    x = 10, -31 at x = 20, -29 at x = 35).
+    x = 10, -31 at x = 20, -29 at x = 35).  An abscissa past sqrt(n) + 1,
+    beyond the soft edge, is a ConfigError.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim == 0 and xs < SMALL_X:
         return 0, int(n), False
     flat = xs.reshape(-1)
+    if (flat > np.sqrt(n) + 1.0).any():
+        raise ConfigError(f"x={flat.max()} beyond sqrt(n)+1 for n={n}")
     # a row below SMALL_X is taken at SMALL_X, where i_lo is already 0, and
     # its upper edge starts at n, where the search below leaves it
     xr = np.maximum(flat, SMALL_X)
@@ -177,8 +180,6 @@ def support_window(x, n, tau=TAU_DEFAULT):
         raise ConfigError("tau must be > 0")
     if x <= 0:
         raise ConfigError("support_window requires x > 0")
-    if x > np.sqrt(n) + 1.0:
-        raise ConfigError(f"x={x} beyond sqrt(n)+1 for n={n}")
     i_lo, i_hi, clipped = window_bounds(x, n, tau)
     idx = np.arange(i_lo, i_hi + 1)
     log_w = basis_log_weight(idx, x)
@@ -206,11 +207,11 @@ def evaluate(sample: WeylSample, window: BasisWindow):
     return float(terms.sum()), float(terms @ window.deriv_ratio)
 
 
-def evaluate_at(sample: WeylSample, x, tau=TAU_DEFAULT):
+def evaluate_at(sample: WeylSample, x):
     """Windowed evaluation at a single abscissa; x < ORIGIN_X handled directly."""
     if x < ORIGIN_X:
         return float(sample.coeffs[0]), float(sample.coeffs[1]) if sample.n >= 1 else 0.0
-    return evaluate(sample, support_window(x, sample.n, tau))
+    return evaluate(sample, support_window(x, sample.n))
 
 
 def _pair_sums(x, y, n):

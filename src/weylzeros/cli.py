@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__, edgeworth, gaussian_theory, lcd, montecarlo
 from .dists import from_name
 from .errors import ConfigError, WeylzerosError
-from .roots import IntervalSpec
+from .roots import DEFAULT_H0, DEFAULT_THETA, IntervalSpec
 
 EXIT_CODES = {"config": 2, "resource": 3, "numerical": 4, "acceptance": 5}
 
@@ -45,8 +45,8 @@ _MC_COMMON = {
     "a": (True, float, None),
     "b": (True, float, None),
     "trials": (True, int, None),
-    "theta": (False, float, 5.0),
-    "h0": (False, float, 0.02),
+    "theta": (False, float, DEFAULT_THETA),
+    "h0": (False, float, DEFAULT_H0),
     "edge_mode": (False, _bool, False),
     "block_exponent": (False, float, 0.3),
     "values": (False, _floats_list, None),
@@ -180,8 +180,7 @@ def _require_seed(seed):
 
 def run_density(params, seed, workers, out):
     xs = np.arange(params["a"], params["b"] + params["step"] / 2, params["step"])
-    profile = gaussian_theory.intensity_profile(params["n"], xs)
-    rows = list(zip(profile.grid.tolist(), profile.values.tolist()))
+    rows = [(x, gaussian_theory.intensity_gaussian(x, params["n"])) for x in xs.tolist()]
     write_csv(out / "density.csv", ["x", "rho"], rows)
     return {"points": len(rows)}
 

@@ -78,21 +78,6 @@ def intensity_gaussian(x, n):
     return math.sqrt(max(radicand, 0.0)) / math.pi
 
 
-@dataclass(frozen=True)
-class IntensityProfile:
-    """Gaussian first-intensity samples on a grid of abscissas."""
-
-    n: int
-    grid: np.ndarray
-    values: np.ndarray
-
-
-def intensity_profile(n, grid) -> IntensityProfile:
-    grid = np.asarray(grid, dtype=float)
-    values = np.array([intensity_gaussian(float(x), n) for x in grid])
-    return IntensityProfile(n=int(n), grid=grid, values=values)
-
-
 def expected_count_gaussian(iv, n):
     """Integral of the Gaussian intensity over [iv.a, iv.b] (adaptive quadrature)."""
     a, b = float(iv.a), float(iv.b)

@@ -28,7 +28,7 @@ from . import edgeworth, gaussian_theory
 from .basis import support_window
 from .dists import CoefficientDistribution, _from_uniforms, trial_rekeyer, trial_stream
 from .errors import ConfigError, NumericalInstabilityError, ResourceBudgetError
-from .roots import DEFAULT_H0, GridKernel, IntervalSpec, scan_block
+from .roots import DEFAULT_H0, DEFAULT_THETA, GridKernel, IntervalSpec, scan_block
 
 # kept for perfbench/spans.py, which patches them (and trial_stream,
 # _from_uniforms, support_window) by name on this module
@@ -56,7 +56,7 @@ class ExperimentConfig:
     dist: CoefficientDistribution
     trials: int
     seed: int
-    delta_exponent: float = 5.0
+    delta_exponent: float = DEFAULT_THETA
     grid_step: float = DEFAULT_H0
     block_exponent: float = 0.3
     workers: int = 0

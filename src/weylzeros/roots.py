@@ -37,7 +37,7 @@ class IntervalSpec:
     """Interval [a, b] in the soft-edge-guarded bulk, with scale M = b.
 
     The guard requires b <= sqrt(n) - n^0.1 at validation time unless
-    edge_mode is set.
+    edge_mode is set; no scan passes the window rule's bound sqrt(n) + 1.
     """
 
     a: float
@@ -290,21 +290,30 @@ def scan_block(kernel: GridKernel, xi, p, dp, delta, find_roots=False, block_edg
     return BlockScan(counts, valid, ambiguous, roots, blocks)
 
 
-def _scan_sample(sample, iv, h0, kernel, delta, find_roots=False):
-    """`scan_block` on one sample, as a batch of one."""
+def _kernel_for(sample, iv, kernel):
+    """The scan kernel of the per-sample API: `kernel` when it scans [a, b]
+    at the sample's degree, a default-step kernel when it is None."""
     if kernel is None:
-        kernel = GridKernel(sample.n, iv.a, iv.b, h0)
+        return GridKernel(sample.n, iv.a, iv.b)
+    got = (kernel.n, float(kernel.grid[0]), float(kernel.grid[-1]))
+    if got != (sample.n, iv.a, iv.b):
+        raise ConfigError(f"kernel scans (n, a, b) = {got}, not {(sample.n, iv.a, iv.b)}")
+    return kernel
+
+
+def _scan_sample(sample, iv, kernel, delta, find_roots=False):
+    """`scan_block` on one sample, as a batch of one."""
+    kernel = _kernel_for(sample, iv, kernel)
     xi = sample.coeffs[:, None]
     p, dp = kernel.values(xi)
     return scan_block(kernel, xi, p, dp, delta, find_roots=find_roots)
 
 
-def count_sign_changes(sample: WeylSample, iv: IntervalSpec, h0=DEFAULT_H0,
-                       kernel: GridKernel | None = None, theta=DEFAULT_THETA):
+def count_sign_changes(sample: WeylSample, iv: IntervalSpec, kernel: GridKernel | None = None):
     """Roots of the sample in [a, b) by grid scan plus bisection refinement
-    (`scan_block`); `validity` is False when a hunted cell is ambiguous."""
-    delta = iv.delta(theta)
-    scan = _scan_sample(sample, iv, h0, kernel, delta, find_roots=True)
+    (`scan_block`) at delta = b^-DEFAULT_THETA; `validity` is False when a
+    hunted cell is ambiguous."""
+    scan = _scan_sample(sample, iv, kernel, iv.delta(), find_roots=True)
     return RootCountResult(
         count=int(scan.counts[0]),
         roots=scan.roots[0],
@@ -330,12 +339,11 @@ def _suspicious_cells(p, dp, neg, grid, delta):
     return np.nonzero(same & (tiny_both | (extremum & dip_possible)))
 
 
-def validity_check(sample: WeylSample, iv: IntervalSpec, delta,
-                   h0=DEFAULT_H0, kernel: GridKernel | None = None):
+def validity_check(sample: WeylSample, iv: IntervalSpec, delta, kernel: GridKernel | None = None):
     """The full validity verdict of `scan_block`: |P(a)|, |P(b)| > delta, no
     ambiguous hunted cell, and the refined grid minimum of |P| + |P'|
     exceeds delta."""
-    return bool(_scan_sample(sample, iv, h0, kernel, delta).valid[0])
+    return bool(_scan_sample(sample, iv, kernel, delta).valid[0])
 
 
 def _refined_metric_min(sample, lo, hi):
@@ -350,23 +358,22 @@ def _refined_metric_min(sample, lo, hi):
 
 
 def kac_rice_count(sample: WeylSample, iv: IntervalSpec, delta,
-                   h0=DEFAULT_H0, kernel: GridKernel | None = None,
-                   roots: np.ndarray | None = None):
+                   kernel: GridKernel | None = None, roots: np.ndarray | None = None):
     """(1/2 delta) * integral of |P'| over the |P| < delta excursions.
 
     Each detected root's excursion boundaries are located by bisection on
     |P| - delta, then |P'| is integrated over the excursion with adaptive
     Gauss-Legendre panels to 1e-6 relative.  Both use one `LocalEvaluator`
-    per root, on [root - h0, root + h0] clipped to [a, b]; the first step out
-    of the root is delta / |P'(root)|, from one `evaluate_at` per root.
+    per root, on root +- DEFAULT_H0 clipped to [a, b]; the first step out of
+    the root is delta / |P'(root)|, from one `evaluate_at` per root.
     """
     if delta <= 0:
         raise ConfigError("delta must be > 0")
     if roots is None:
-        roots = count_sign_changes(sample, iv, h0, kernel=kernel).roots
+        roots = count_sign_changes(sample, iv, kernel=kernel).roots
     total = 0.0
     for r in roots:
-        ev = LocalEvaluator(sample, max(iv.a, r - h0), min(iv.b, r + h0))
+        ev = LocalEvaluator(sample, max(iv.a, r - DEFAULT_H0), min(iv.b, r + DEFAULT_H0))
         step = delta / max(abs(evaluate_at(sample, r)[1]), 1e-12)
         xl = _excursion_boundary(ev.value, r, step, delta, -1, iv.a)
         xr = _excursion_boundary(ev.value, r, step, delta, +1, iv.b)
@@ -439,15 +446,14 @@ def _integrate_abs_deriv(ev, lo, hi):
     return total
 
 
-def analyze(sample: WeylSample, iv: IntervalSpec, h0=DEFAULT_H0,
-            theta=DEFAULT_THETA, kernel: GridKernel | None = None):
-    """Full per-sample result: count, roots, Kac-Rice value, validity."""
-    if kernel is None:
-        kernel = GridKernel(sample.n, iv.a, iv.b, h0)
-    delta = iv.delta(theta)
-    res = count_sign_changes(sample, iv, h0, kernel=kernel, theta=theta)
-    valid = res.validity and validity_check(sample, iv, delta, h0, kernel=kernel)
-    kr = kac_rice_count(sample, iv, delta, h0, kernel=kernel, roots=res.roots)
+def analyze(sample: WeylSample, iv: IntervalSpec, kernel: GridKernel | None = None):
+    """Full per-sample result at delta = b^-DEFAULT_THETA: count, roots,
+    Kac-Rice value, validity."""
+    kernel = _kernel_for(sample, iv, kernel)
+    delta = iv.delta()
+    res = count_sign_changes(sample, iv, kernel=kernel)
+    valid = res.validity and validity_check(sample, iv, delta, kernel=kernel)
+    kr = kac_rice_count(sample, iv, delta, kernel=kernel, roots=res.roots)
     return RootCountResult(
         count=res.count,
         roots=res.roots,

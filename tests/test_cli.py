@@ -94,6 +94,15 @@ def test_negative_workers_is_config_error(tmp_path, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
+def test_edge_mode_past_the_soft_edge_is_config_error(tmp_path, capsys):
+    # edge_mode lifts the guard b <= sqrt(n) - n^0.1, not the window rule's sqrt(n) + 1
+    cfg = write_config(tmp_path, "[expect]\ndist = gaussian\nn = 400\na = 5\nb = 35\n"
+                                 "trials = 10\nedge_mode = true\n")
+    rc = cli.main(["expect", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert rc == cli.EXIT_CODES["config"]
+    assert "error[config]" in capsys.readouterr().err
+
+
 def test_expect_csv_schema_and_roundtrip(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -208,8 +208,8 @@ def test_histogram_cross_check():
 def test_intensity_profile_invariants():
     n = 1000
     grid = np.linspace(0.5, math.sqrt(n), 80)
-    prof = gt.intensity_profile(n, grid)
-    assert prof.n == n and prof.values.shape == grid.shape
-    assert np.all(prof.values >= 0.0)
+    values = np.array([gt.intensity_gaussian(x, n) for x in grid.tolist()])
+    assert values.shape == grid.shape
+    assert np.all(values >= 0.0)
     bulk = (grid >= 5.0) & (grid <= math.sqrt(n) - 3 * math.sqrt(math.log(n)))
-    assert np.abs(prof.values[bulk] - 1 / math.pi).max() < 1e-3
+    assert np.abs(values[bulk] - 1 / math.pi).max() < 1e-3

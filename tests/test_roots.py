@@ -80,9 +80,9 @@ class TestCountSignChanges:
         iv = roots.IntervalSpec(1.0, 8.0, edge_mode=True)
         for t in range(15):
             s = gaussian_sample(120, 13, t)
-            coarse = roots.count_sign_changes(s, iv, h0=0.04).count
-            fine = roots.count_sign_changes(s, iv, h0=0.02).count
-            finest = roots.count_sign_changes(s, iv, h0=0.01).count
+            coarse = roots.count_sign_changes(s, iv, kernel=roots.GridKernel(120, 1, 8, 0.04)).count
+            fine = roots.count_sign_changes(s, iv, kernel=roots.GridKernel(120, 1, 8, 0.02)).count
+            finest = roots.count_sign_changes(s, iv, kernel=roots.GridKernel(120, 1, 8, 0.01)).count
             assert coarse <= fine <= finest or coarse == fine == finest
 
     def test_against_eigenvalue_oracle(self):
@@ -141,6 +141,41 @@ class TestKacRice:
     def test_delta_validation(self):
         with pytest.raises(ConfigError):
             roots.kac_rice_count(linear_sample(), roots.IntervalSpec(0.0, 5.0, edge_mode=True), 0.0)
+
+
+PER_SAMPLE_IV = roots.IntervalSpec(2.0, 10.0, edge_mode=True)
+
+
+@pytest.mark.parametrize("kernel_args", [(150, 3.0, 10.0), (150, 2.0, 9.0), (160, 2.0, 10.0)])
+def test_per_sample_api_rejects_a_kernel_for_another_scan(kernel_args):
+    # another interval or another degree would scan the wrong span or fail in the product
+    s, iv, k = gaussian_sample(150, 5), PER_SAMPLE_IV, roots.GridKernel(*kernel_args)
+    delta = iv.delta()
+    for call in (
+        lambda: roots.count_sign_changes(s, iv, kernel=k),
+        lambda: roots.validity_check(s, iv, delta, kernel=k),
+        lambda: roots.kac_rice_count(s, iv, delta, kernel=k),
+        lambda: roots.analyze(s, iv, kernel=k),
+    ):
+        with pytest.raises(ConfigError, match="kernel scans"):
+            call()
+
+
+def test_analyze_builds_the_kernel_it_would_be_given():
+    kernel = roots.GridKernel(150, PER_SAMPLE_IV.a, PER_SAMPLE_IV.b)
+    bits = lambda r: (r.count, r.validity, r.roots.tobytes(), np.float64(r.kac_rice_value).tobytes())
+    for t in range(3):
+        s = gaussian_sample(150, 7, t)
+        own, given = roots.analyze(s, PER_SAMPLE_IV), roots.analyze(s, PER_SAMPLE_IV, kernel=kernel)
+        assert bits(own) == bits(given), t
+
+
+def test_scans_past_the_soft_edge_are_config_errors():
+    # sqrt(400) + 1 = 21: the kernel grid and the evaluator span both pass it
+    with pytest.raises(ConfigError, match="beyond sqrt"):
+        roots.GridKernel(400, 5.0, 35.0)
+    with pytest.raises(ConfigError, match="beyond sqrt"):
+        roots.LocalEvaluator(gaussian_sample(400, 1), 30.0, 31.0)
 
 
 class TestValidityCheck:
