@@ -179,7 +179,10 @@ def _require_seed(seed):
 
 
 def run_density(params, seed, workers, out):
-    xs = np.arange(params["a"], params["b"] + params["step"] / 2, params["step"])
+    a, b, step = params["a"], params["b"], params["step"]
+    if not (0 <= a <= b < np.inf and 0 < step < np.inf and params["n"] >= 1):
+        raise ConfigError("[density] needs 0 <= a <= b, step > 0 (finite) and n >= 1")
+    xs = np.arange(a, b + step / 2, step)
     rows = [(x, gaussian_theory.intensity_gaussian(x, params["n"])) for x in xs.tolist()]
     write_csv(out / "density.csv", ["x", "rho"], rows)
     return {"points": len(rows)}

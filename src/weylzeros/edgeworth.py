@@ -14,6 +14,7 @@ with b, c the sqrt(N)-normalized value/derivative basis weights and
 C_3 = E xi^3, C_4 = E xi^4 - 3.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -96,17 +97,6 @@ def multiplicity(alpha: MultiIndex):
     return m
 
 
-def hermite_multi(alpha: MultiIndex, x):
-    """prod_j H_{alpha_j}(x_j); permutation-invariant in the underlying tuples."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[-1] != alpha.dim:
-        raise ConfigError("point dimension does not match multi-index")
-    val = np.ones(x.shape[:-1])
-    for j, e in enumerate(alpha.entries):
-        val = val * hermite(e, x[..., j])
-    return val if val.ndim else float(val)
-
-
 # ---------------------------------------------------------------------------
 # Averaged cumulants
 
@@ -155,41 +145,64 @@ def cumulant_table(window, dist, N):
 
 
 # ---------------------------------------------------------------------------
-# Correction polynomials and expansion densities
+# The order-2 terms, correction polynomials and expansion densities
+
+
+@functools.cache
+def _order2_terms(d):
+    """Every term of the order-2 expansion in dimension d, as (factors, weight).
+
+    factors holds the multi-index entries whose cumulants the term multiplies:
+    one weight-3 index with weight multiplicity/6 (Gamma1), one weight-4 index
+    with multiplicity/24 (Gamma2, kurtosis), or an ordered pair of weight-3
+    indices with the product of multiplicities/72 (Gamma2, skew squared).
+    """
+    third = multi_indices(d, 3)
+    return (
+        tuple(((a.entries,), multiplicity(a) / 6.0) for a in third)
+        + tuple(((a.entries,), multiplicity(a) / 24.0) for a in multi_indices(d, 4))
+        + tuple(
+            ((a.entries, b.entries), multiplicity(a) * multiplicity(b) / 72.0)
+            for a in third
+            for b in third
+        )
+    )
+
+
+def _summed_index(factors):
+    return tuple(map(sum, zip(*factors)))
+
+
+def _correction_series(table: CumulantTable):
+    """(Gamma1, Gamma2) as Hermite-series arrays, one axis per coordinate.
+
+    Each term, times its cumulants, sits at its factors' summed multi-index:
+    the inversion formula gives H_{alpha+beta}, orthogonal to constants, where
+    the paper's displayed square has the product H_alpha H_beta, whose
+    Gaussian mean is not zero once third cumulants are present.
+    """
+    g1, g2 = np.zeros((4,) * table.d), np.zeros((7,) * table.d)
+    for factors, weight in _order2_terms(table.d):
+        index = _summed_index(factors)
+        series = g1 if sum(index) == 3 else g2
+        series[index] += weight * math.prod(table[f] for f in factors)
+    return g1, g2
+
+
+def _hermite_series(coeffs, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] != coeffs.ndim:
+        raise ConfigError("point dimension does not match the cumulant table")
+    if coeffs.ndim == 1:
+        val = hermite_e.hermeval(x[..., 0], coeffs)
+    else:
+        val = hermite_e.hermeval2d(x[..., 0], x[..., 1], coeffs)
+    return val if np.ndim(val) else float(val)
 
 
 def gamma1(table: CumulantTable, x):
     """Order-1 correction polynomial (1/6) sum over weight-3 tuples."""
-    total = 0.0
-    for a in multi_indices(table.d, 3):
-        c = table[a]
-        if c != 0.0:
-            total = total + (multiplicity(a) / 6.0) * c * hermite_multi(a, x)
-    return total
-
-
-def _gamma2_convolved(table: CumulantTable, x):
-    """Order-2 correction with the inversion-formula index sums H_{alpha+beta}.
-
-    The paper's displayed square uses Hermite products, whose Gaussian mean
-    is not zero once third cumulants are present; applying the squared
-    derivative operator to the density instead yields H at the summed
-    multi-index, which is orthogonal to constants and keeps the expansion a
-    signed probability density.
-    """
-    total = 0.0
-    for a in multi_indices(table.d, 4):
-        c = table[a]
-        if c != 0.0:
-            total = total + (multiplicity(a) / 24.0) * c * hermite_multi(a, x)
-    third = [(a, table[a]) for a in multi_indices(table.d, 3) if table[a] != 0.0]
-    for a, ca in third:
-        for b, cb in third:
-            merged = MultiIndex(tuple(i + j for i, j in zip(a.entries, b.entries)))
-            total = total + (
-                multiplicity(a) * multiplicity(b) / 72.0
-            ) * ca * cb * hermite_multi(merged, x)
-    return total
+    return _hermite_series(_correction_series(table)[0], x)
 
 
 def gaussian_density(x):
@@ -201,12 +214,10 @@ def gaussian_density(x):
 
 
 def density_q2(table: CumulantTable, x, N):
-    """Order-2 expansion density (1 + Gamma1/sqrt(N) + Gamma2/N) * phi.
-
-    Uses the convolved form of the order-2 correction so the signed mass is
-    exactly one for any cumulant input.
-    """
-    body = 1.0 + gamma1(table, x) / math.sqrt(N) + _gamma2_convolved(table, x) / N
+    """Order-2 expansion density (1 + Gamma1/sqrt(N) + Gamma2/N) * phi, of
+    signed mass exactly one for any cumulant input."""
+    g1, g2 = _correction_series(table)
+    body = 1.0 + _hermite_series(g1, x) / math.sqrt(N) + _hermite_series(g2, x) / N
     return body * gaussian_density(x)
 
 
@@ -342,55 +353,39 @@ class CorrectionTerm:
         return self.weight * self.abs_factor * self.zero_factor * self.log_coeff
 
 
+def _poly_product(orders):
+    return functools.reduce(np.polynomial.polynomial.polymul, map(hermite_coeffs, orders))
+
+
 def correction_terms():
     """Every nonvanishing term of the per-log-octave expectation shift.
 
-    Kurtosis block: weight-4 multi-indices (n1, n2), multinomial/24, paired
-    with E|Z| H_{n1} and H_{n2}(0) phi(0), and the x-integral coefficient
-    C(4, n2).  Skew-squared block: ordered pairs of weight-3 indices,
-    multinomial product / 72, the same functionals on the polynomial products,
-    and C(3, a2) C(3, b2).
+    Walks the Gamma2 terms of `_order2_terms(2)`: kurtosis (one weight-4
+    index) and skew squared (an ordered pair of weight-3 indices).  Each
+    factor's value power f[0] goes to E|Z| H, its derivative power f[1] to
+    H(0) phi(0), through the product of the factors' Hermite polynomials, and
+    the x-integral coefficient is the product of C(|f|, f[1]).  These are the
+    roles of the stated K4_COEFF and K3SQ_COEFF; Kac-Rice gives the value
+    power the zero functional (`DECISIONS.md`, the K3SQ entry).
     """
     terms = []
-    for a in multi_indices(2, 4):
-        n1, n2 = a.entries
-        t_abs = abs_moment_poly(hermite_coeffs(n1))
-        t_zero = density_at_zero_poly(hermite_coeffs(n2))
+    for factors, weight in _order2_terms(2):
+        if sum(_summed_index(factors)) == 3:
+            continue  # Gamma1: an odd entry sends one functional to 0
+        t_abs = abs_moment_poly(_poly_product(f[0] for f in factors))
+        t_zero = density_at_zero_poly(_poly_product(f[1] for f in factors))
         if t_abs == 0.0 or t_zero == 0.0:
             continue
         terms.append(
             CorrectionTerm(
-                source="kurtosis",
-                indices=(a.entries,),
-                weight=multiplicity(a) / 24.0,
+                source="kurtosis" if len(factors) == 1 else "skew_sq",
+                indices=factors,
+                weight=weight,
                 abs_factor=t_abs,
                 zero_factor=t_zero,
-                log_coeff=asymptotic_sum_constant(4, n2),
+                log_coeff=math.prod(asymptotic_sum_constant(sum(f), f[1]) for f in factors),
             )
         )
-    for a in multi_indices(2, 3):
-        for b in multi_indices(2, 3):
-            pa = np.polynomial.polynomial.polymul(
-                hermite_coeffs(a.entries[0]), hermite_coeffs(b.entries[0])
-            )
-            pb = np.polynomial.polynomial.polymul(
-                hermite_coeffs(a.entries[1]), hermite_coeffs(b.entries[1])
-            )
-            t_abs = abs_moment_poly(pa)
-            t_zero = density_at_zero_poly(pb)
-            if t_abs == 0.0 or t_zero == 0.0:
-                continue
-            terms.append(
-                CorrectionTerm(
-                    source="skew_sq",
-                    indices=(a.entries, b.entries),
-                    weight=multiplicity(a) * multiplicity(b) / 72.0,
-                    abs_factor=t_abs,
-                    zero_factor=t_zero,
-                    log_coeff=asymptotic_sum_constant(3, a.entries[1])
-                    * asymptotic_sum_constant(3, b.entries[1]),
-                )
-            )
     return terms
 
 

@@ -514,16 +514,14 @@ class OctaveRow:
     gaussian_theory: float
 
 
-def dyadic_expectation(config: ExperimentConfig, m0=None):
-    """Per-octave mean counts over [a, b] split at m0 * 2^k (diagnostic only).
+def dyadic_expectation(config: ExperimentConfig):
+    """Per-octave mean counts over [a, b] split at max(a, 1) * 2^k (diagnostic only).
 
     The per-octave shift prediction is one constant times log 2, but desk-scale
     standard errors cannot resolve it reliably, so no gate is attached.
     """
-    if m0 is None:
-        m0 = max(config.iv.a, 1.0)
     edges = [config.iv.a]
-    e = m0
+    e = max(config.iv.a, 1.0)
     while e < config.iv.b:
         if e > edges[-1]:
             edges.append(float(e))

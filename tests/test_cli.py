@@ -191,6 +191,26 @@ def test_density_csv(tmp_path):
     assert float(rows[1][1]) == pytest.approx(1 / math.pi, abs=1e-3)
 
 
+@pytest.mark.parametrize("section, rc", [
+    ("n = 100\na = 1.0\nb = 5.0\nstep = 0", 2),
+    ("n = 100\na = 1.0\nb = 5.0\nstep = -0.5", 2),
+    ("n = 100\na = 1.0\nb = 5.0\nstep = nan", 2),
+    ("n = 100\na = 5.0\nb = 1.0\nstep = 0.5", 2),
+    ("n = 100\na = -1.0\nb = 5.0\nstep = 0.5", 2),
+    ("n = 0\na = 1.0\nb = 5.0\nstep = 0.5", 2),
+    ("n = 100\na = 1.0\nb = 1.0\nstep = 0.5", 0),
+])
+def test_density_section_bounds(tmp_path, capsys, section, rc):
+    cfg = write_config(tmp_path, f"[density]\n{section}\n")
+    out = tmp_path / "d"
+    assert cli.main(["density", "--config", cfg, "--out", str(out)]) == rc
+    if rc:
+        assert "error[config]" in capsys.readouterr().err
+        assert not (out / "density.csv").exists()
+    else:
+        assert len(list(csv.reader(open(out / "density.csv")))) == 2
+
+
 def test_python_m_runs_without_runpy_warning(tmp_path):
     # the package must not import cli itself, or runpy warns before main runs
     cfg = write_config(tmp_path, "[density]\nn = 400\na = 2.0\nb = 6.0\nstep = 1.0\n")

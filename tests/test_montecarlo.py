@@ -246,7 +246,7 @@ class TestEdgeworthFit:
 
 def test_dyadic_diagnostic_rows():
     cfg = make_config(trials=300, workers=2)
-    rows = mc.dyadic_expectation(cfg, m0=2.0)
+    rows = mc.dyadic_expectation(cfg)
     assert rows[0].lo == 2.0 and rows[-1].hi == 18.0
     assert all(r.hi == pytest.approx(2 * r.lo, rel=1e-12) or r is rows[-1] for r in rows)
     total_mean = sum(r.mean for r in rows)
