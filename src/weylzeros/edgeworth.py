@@ -5,8 +5,8 @@ expectation correction constant from those pieces.
 
 Conventions: probabilists' Hermite polynomials (H2 = x^2 - 1); a multi-index
 is an exponent vector (n1, n2) over the value and derivative coordinates
-(or (n1,) for the value coordinate alone) of weight n1 + n2 in {3, 4}; the
-averaged cumulant attached to it is
+(or (n1,) for the value coordinate alone) of weight n1 + n2 >= 3; the
+averaged cumulant attached to a weight of 3 or 4 is
 
     c_n(alpha) = C_{|alpha|} * (1/N) * sum_i  b_i^{n1} c_i^{n2},
 
@@ -24,7 +24,7 @@ from numpy.polynomial import hermite_e
 
 from .basis import TAU_DEFAULT, BasisWindow, support_window
 from .dists import CoefficientDistribution, excess_cumulants
-from .errors import AssemblyError, ConfigError
+from .errors import ConfigError
 
 HERMITE_MAX = 12
 
@@ -89,21 +89,13 @@ def multi_indices(d, weight):
     return out
 
 
-def multiplicity(alpha: MultiIndex):
-    """Number of coordinate tuples collapsing to this exponent vector."""
-    m = math.factorial(alpha.weight)
-    for e in alpha.entries:
-        m //= math.factorial(e)
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Averaged cumulants
 
 
 @dataclass(frozen=True)
 class CumulantTable:
-    """c_n(alpha) for every alpha of weight 3 and 4 in dimension d."""
+    """c_n(alpha) for every alpha of weight 3 up to the largest in dimension d."""
 
     d: int
     N: float
@@ -112,6 +104,26 @@ class CumulantTable:
     def __getitem__(self, alpha):
         key = alpha.entries if isinstance(alpha, MultiIndex) else tuple(alpha)
         return self.entries[key]
+
+    @functools.cached_property
+    def series(self):
+        """(Gamma_1, ..., Gamma_p) as Hermite-series arrays, one axis per
+        coordinate, for p = the table's largest weight - 2; built once.
+
+        Each term of `_expansion_terms`, times its cumulants, sits at its
+        factors' summed multi-index: the inversion formula gives
+        H_{alpha+beta}, orthogonal to constants, where the paper's displayed
+        square has the product H_alpha H_beta, whose Gaussian mean is not
+        zero once third cumulants are present.
+        """
+        out = []
+        order = max(map(sum, self.entries)) - 2
+        for r, terms in enumerate(_expansion_terms(self.d, order), 1):
+            g = np.zeros((3 * r + 1,) * self.d)
+            for factors, weight in terms:
+                g[_summed_index(factors)] += weight * math.prod(self[f] for f in factors)
+            out.append(g)
+        return tuple(out)
 
 
 def avg_cumulant(alpha, window: BasisWindow, dist: CoefficientDistribution, N):
@@ -145,48 +157,40 @@ def cumulant_table(window, dist, N):
 
 
 # ---------------------------------------------------------------------------
-# The order-2 terms, correction polynomials and expansion densities
+# The expansion terms, correction polynomials and expansion densities
 
 
 @functools.cache
-def _order2_terms(d):
-    """Every term of the order-2 expansion in dimension d, as (factors, weight).
+def _expansion_terms(d, order):
+    """Every term of the expansion in dimension d up to the given order, as one
+    tuple of (factors, weight) per order r = 1, ..., order.
 
-    factors holds the multi-index entries whose cumulants the term multiplies:
-    one weight-3 index with weight multiplicity/6 (Gamma1), one weight-4 index
-    with multiplicity/24 (Gamma2, kurtosis), or an ordered pair of weight-3
-    indices with the product of multiplicities/72 (Gamma2, skew squared).
+    factors is an ordered tuple of multi-index entries of weight >= 3 with
+    sum(|f| - 2) = r, whose cumulants the term multiplies; its weight is
+    prod(1/f!)/m! for m factors, the expansion of exp(sum kappa_f (-D)^f/f!),
+    and it sits at the factors' summed index.  Heavier first factors come
+    first: at order 2, the weight-4 indices precede the pairs of weight-3 ones.
     """
-    third = multi_indices(d, 3)
-    return (
-        tuple(((a.entries,), multiplicity(a) / 6.0) for a in third)
-        + tuple(((a.entries,), multiplicity(a) / 24.0) for a in multi_indices(d, 4))
-        + tuple(
-            ((a.entries, b.entries), multiplicity(a) * multiplicity(b) / 72.0)
-            for a in third
-            for b in third
-        )
+
+    def factor_tuples(r):
+        for w in range(r + 2, 2, -1):
+            for a in multi_indices(d, w):
+                if w - 2 == r:
+                    yield (a.entries,)
+                else:
+                    yield from ((a.entries,) + rest for rest in factor_tuples(r + 2 - w))
+
+    def weight(factors):
+        entries = [e for f in factors for e in f]
+        return 1.0 / math.prod(map(math.factorial, [len(factors), *entries]))
+
+    return tuple(
+        tuple((f, weight(f)) for f in factor_tuples(r)) for r in range(1, order + 1)
     )
 
 
 def _summed_index(factors):
     return tuple(map(sum, zip(*factors)))
-
-
-def _correction_series(table: CumulantTable):
-    """(Gamma1, Gamma2) as Hermite-series arrays, one axis per coordinate.
-
-    Each term, times its cumulants, sits at its factors' summed multi-index:
-    the inversion formula gives H_{alpha+beta}, orthogonal to constants, where
-    the paper's displayed square has the product H_alpha H_beta, whose
-    Gaussian mean is not zero once third cumulants are present.
-    """
-    g1, g2 = np.zeros((4,) * table.d), np.zeros((7,) * table.d)
-    for factors, weight in _order2_terms(table.d):
-        index = _summed_index(factors)
-        series = g1 if sum(index) == 3 else g2
-        series[index] += weight * math.prod(table[f] for f in factors)
-    return g1, g2
 
 
 def _hermite_series(coeffs, x):
@@ -202,7 +206,7 @@ def _hermite_series(coeffs, x):
 
 def gamma1(table: CumulantTable, x):
     """Order-1 correction polynomial (1/6) sum over weight-3 tuples."""
-    return _hermite_series(_correction_series(table)[0], x)
+    return _hermite_series(table.series[0], x)
 
 
 def gaussian_density(x):
@@ -213,12 +217,19 @@ def gaussian_density(x):
     return val if val.ndim else float(val)
 
 
+def _expansion_density(series, x, N):
+    # N^(r/2) as sqrt(N)^(r mod 2) * N^(r div 2): exact at r = 1 and 2
+    body = 1.0
+    for r, g in enumerate(series, 1):
+        body = body + _hermite_series(g, x) / (math.sqrt(N) ** (r % 2) * N ** (r // 2))
+    return body * gaussian_density(x)
+
+
 def density_q2(table: CumulantTable, x, N):
     """Order-2 expansion density (1 + Gamma1/sqrt(N) + Gamma2/N) * phi, of
     signed mass exactly one for any cumulant input."""
-    g1, g2 = _correction_series(table)
-    body = 1.0 + _hermite_series(g1, x) / math.sqrt(N) + _hermite_series(g2, x) / N
-    return body * gaussian_density(x)
+    g1, g2 = table.series[:2]
+    return _expansion_density((g1, g2), x, N)
 
 
 @dataclass(frozen=True)
@@ -239,23 +250,21 @@ class EdgeworthDensity1D:
 
 
 def density_1d(params: EdgeworthDensity1D, x):
-    """Evaluate the selected-order 1-d expansion density at x."""
-    x = np.asarray(x, dtype=float)
-    rn = 1.0 / math.sqrt(params.N)
-    body = 1.0 + rn * (params.chi3 / 6.0) * hermite(3, x)
-    if params.order >= 4:
-        body = body + rn**2 * (
-            (params.chi4 / 24.0) * hermite(4, x)
-            + (params.chi3**2 / 72.0) * hermite(6, x)
-        )
-    if params.order >= 5:
-        body = body + rn**3 * (
-            (params.chi5 / 120.0) * hermite(5, x)
-            + (params.chi3 * params.chi4 / 144.0) * hermite(7, x)
-            + (params.chi3**3 / 1296.0) * hermite(9, x)
-        )
-    phi = np.exp(-0.5 * x * x) / _SQRT_2PI
-    return body * phi
+    """Evaluate the selected-order 1-d expansion density at x: the terms of
+    orders r <= order - 2 on the cumulants chi3, chi4, chi5."""
+    chis = (params.chi3, params.chi4, params.chi5)[: params.order - 2]
+    table = CumulantTable(1, params.N, {(w,): c for w, c in enumerate(chis, 3)})
+    return _expansion_density(table.series, np.asarray(x, dtype=float)[..., None], params.N)
+
+
+def cdf_correction(table: CumulantTable, s):
+    """c(s) such that Phi(s) - phi(s) c(s) integrates the 1-d expansion
+    density (1 + sum_r Gamma_r) phi of a table at N = 1 up to s.
+
+    No Gamma_r has an H_0 term and the integral of H_k phi up to s is
+    -H_{k-1}(s) phi(s), so c is the sum of the series shifted down one degree.
+    """
+    return sum(hermite_e.hermeval(s, g[1:]) for g in table.series)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +369,7 @@ def _poly_product(orders):
 def correction_terms():
     """Every nonvanishing term of the per-log-octave expectation shift.
 
-    Walks the Gamma2 terms of `_order2_terms(2)`: kurtosis (one weight-4
+    Walks the Gamma2 terms of `_expansion_terms(2, 2)`: kurtosis (one weight-4
     index) and skew squared (an ordered pair of weight-3 indices).  Each
     factor's value power f[0] goes to E|Z| H, its derivative power f[1] to
     H(0) phi(0), through the product of the factors' Hermite polynomials, and
@@ -369,9 +378,7 @@ def correction_terms():
     power the zero functional (`DECISIONS.md`, the K3SQ entry).
     """
     terms = []
-    for factors, weight in _order2_terms(2):
-        if sum(_summed_index(factors)) == 3:
-            continue  # Gamma1: an odd entry sends one functional to 0
+    for factors, weight in _expansion_terms(2, 2)[1]:
         t_abs = abs_moment_poly(_poly_product(f[0] for f in factors))
         t_zero = density_at_zero_poly(_poly_product(f[1] for f in factors))
         if t_abs == 0.0 or t_zero == 0.0:
@@ -395,29 +402,6 @@ def expectation_correction_coefficients():
     k4 = sum(t.contribution for t in terms if t.source == "kurtosis")
     k3sq = sum(t.contribution for t in terms if t.source == "skew_sq")
     return k4, k3sq, terms
-
-
-def expectation_correction(c1, c2, dist: CoefficientDistribution):
-    """(assembled, closed_form) expectation shift over [c1*M, c2*M].
-
-    assembled re-derives the constant from the Hermite-moment functionals and
-    the asymptotic-sum closed forms; closed_form plugs the distribution's
-    excess moments into the published constants.  Disagreement beyond 1e-10
-    relative means the assembly itself is broken.
-    """
-    if not 0 < c1 < c2:
-        raise ConfigError("need 0 < c1 < c2")
-    m3, k4_excess = excess_cumulants(dist)
-    log_ratio = math.log(c2 / c1)
-    k4_coeff, k3sq_coeff, _ = expectation_correction_coefficients()
-    assembled = (k4_coeff * k4_excess + k3sq_coeff * m3**2) * log_ratio
-    closed = (K4_COEFF * k4_excess + K3SQ_COEFF * m3**2) * log_ratio
-    scale = max(abs(assembled), abs(closed), 1e-30)
-    if abs(assembled - closed) > 1e-10 * scale:
-        raise AssemblyError(
-            f"expectation-correction assembly mismatch: {assembled} vs {closed}"
-        )
-    return assembled, closed
 
 
 def correction_constant(dist: CoefficientDistribution):

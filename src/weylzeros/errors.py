@@ -17,9 +17,3 @@ class ResourceBudgetError(WeylzerosError):
 
 class NumericalInstabilityError(WeylzerosError):
     category = "numerical"
-
-
-class AssemblyError(WeylzerosError):
-    """A closed-form cross-check failed beyond tolerance; signals a broken pipeline."""
-
-    category = "numerical"

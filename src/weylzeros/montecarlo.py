@@ -397,6 +397,8 @@ def run_smallball(x, deltas, config: ExperimentConfig):
     theory column is the standard normal density at the origin (1d) and the
     bivariate one (2d), exact in the Gaussian limit by the identity covariance.
     """
+    if not deltas or not all(0.0 < delta < math.inf for delta in deltas):
+        raise ConfigError(f"smallball needs deltas, each finite and > 0, got {deltas}")
     p, dp = _point_values(config, x, need_deriv=True)
     rows = []
     for delta in deltas:
@@ -430,14 +432,9 @@ def edgeworth_fit(x, config: ExperimentConfig):
     p, _ = _point_values(config, x)
     s = np.sort(p / math.sqrt(sigma2))
     gauss_cdf = norm.cdf(s)
-    # integral of phi4: Phi(x) - phi(x) [lam3 H2/6 + lam4 H3/24 + lam3^2 H5/72]
+    table = edgeworth.CumulantTable(1, 1.0, {(3,): lam3, (4,): lam4})
     phi = np.exp(-0.5 * s * s) / _SQRT_2PI
-    corr = (
-        lam3 / 6.0 * edgeworth.hermite(2, s)
-        + lam4 / 24.0 * edgeworth.hermite(3, s)
-        + lam3**2 / 72.0 * edgeworth.hermite(5, s)
-    )
-    edge_cdf = gauss_cdf - phi * corr
+    edge_cdf = gauss_cdf - phi * edgeworth.cdf_correction(table, s)
     return _ks_distance(edge_cdf), _ks_distance(gauss_cdf)
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -148,6 +149,17 @@ def test_smallball_csv_schema(tmp_path):
     assert len(rows) == 5  # two deltas x two dimensions
 
 
+@pytest.mark.parametrize("deltas", ["-0.1", "0", "nan", "inf", "0.05,-0.1", ","])
+def test_smallball_deltas_must_be_finite_and_positive(tmp_path, capsys, deltas):
+    cfg = write_config(tmp_path, "[smallball]\ndist = rademacher\nn = 200\nx = 8.0\n"
+                                 f"deltas = {deltas}\ntrials = 100\n")
+    out = tmp_path / "sb"
+    rc = cli.main(["smallball", "--config", cfg, "--out", str(out), "--seed", "1"])
+    assert rc == cli.EXIT_CODES["config"]
+    assert "error[config]" in capsys.readouterr().err
+    assert not (out / "smallball.csv").exists()
+
+
 def test_blocks_csv_long_form(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -171,6 +183,32 @@ def test_edgeworth_ledger_value(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["result"]["k4_coeff"] == pytest.approx(expected_c1, rel=1e-12)
     assert manifest["result"]["c_xi"] == pytest.approx(-2 * expected_c1, rel=1e-12)
+
+
+#: sha256 of the shift ledger's edgeworth.csv and stdout; a change that
+#: restates the constants updates these on purpose
+LEDGER_BYTES = {
+    "rademacher": (
+        "[edgeworth]\ndist = rademacher\n",
+        "9c490b4cc3a7e046e0e60932afb26a9c9a3328578d31221100034a6134c34b4f",
+        "9c53bdbec4932f49af8441c64b12f79b33105bad0b16876becbd21cb379eefe9",
+    ),
+    "discrete_sym": (
+        "[edgeworth]\ndist = discrete_sym\nvalues = -1,0,3\nprobs = 0.45,0.4,0.15\n",
+        "9c490b4cc3a7e046e0e60932afb26a9c9a3328578d31221100034a6134c34b4f",
+        "7e5cc1d6d8d2f62567bc769ff3c17e1ad93963b62c8ad6f02978f05d33f34aff",
+    ),
+}
+
+
+@pytest.mark.parametrize("law", sorted(LEDGER_BYTES))
+def test_edgeworth_ledger_bytes(tmp_path, capsys, law):
+    section, csv_sha, stdout_sha = LEDGER_BYTES[law]
+    out = tmp_path / "e"
+    assert cli.main(["edgeworth", "--config", write_config(tmp_path, section),
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256((out / "edgeworth.csv").read_bytes()).hexdigest() == csv_sha
 
 
 def test_cw_outputs(tmp_path, capsys):

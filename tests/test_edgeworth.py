@@ -8,7 +8,7 @@ from numpy.polynomial import hermite_e
 from scipy.integrate import quad
 
 from weylzeros import basis, dists, edgeworth as ew
-from weylzeros.errors import AssemblyError, ConfigError
+from weylzeros.errors import ConfigError
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -184,6 +184,14 @@ def test_density_q2_mass_and_third_moment():
     assert third == pytest.approx(0.7 / math.sqrt(n_norm), abs=1e-8)
 
 
+def multiplicity(alpha):
+    """Number of coordinate tuples collapsing to this exponent vector."""
+    m = math.factorial(alpha.weight)
+    for e in alpha.entries:
+        m //= math.factorial(e)
+    return m
+
+
 def reference_terms(table, x, h=ew.hermite):
     """The hand loops the Hermite series replaced, one value per term:
     (Gamma1 terms, Gamma2 terms), each a product of h per coordinate at the
@@ -193,11 +201,11 @@ def reference_terms(table, x, h=ew.hermite):
         return weight * cumulant * math.prod(h(e, xj) for e, xj in zip(entries, x))
 
     third = ew.multi_indices(table.d, 3)
-    g1 = [term(ew.multiplicity(a) / 6.0, table[a], a.entries) for a in third]
-    g2 = [term(ew.multiplicity(a) / 24.0, table[a], a.entries)
+    g1 = [term(multiplicity(a) / 6.0, table[a], a.entries) for a in third]
+    g2 = [term(multiplicity(a) / 24.0, table[a], a.entries)
           for a in ew.multi_indices(table.d, 4)]
     g2 += [
-        term(ew.multiplicity(a) * ew.multiplicity(b) / 72.0, table[a] * table[b],
+        term(multiplicity(a) * multiplicity(b) / 72.0, table[a] * table[b],
              tuple(i + j for i, j in zip(a.entries, b.entries)))
         for a in third for b in third
     ]
@@ -232,6 +240,90 @@ def test_series_density_matches_reference_loops(table, n_norm, point):
     scale = 1.0 + sum(s1) / math.sqrt(n_norm) + sum(s2) / n_norm
     phi_x = ew.gaussian_density(x)
     assert abs(ew.density_q2(table, x, n_norm) - body * phi_x) <= 1e-12 * scale * phi_x
+
+
+#: the order-2 terms as the expansion had them written out, per order:
+#: a weight-3 index with multiplicity/6, a weight-4 index with
+#: multiplicity/24, an ordered pair of weight-3 indices with the product of
+#: multiplicities/72
+ORDER2_TERMS = {
+    1: (
+        ((((3,),), 1 / 6.0),),
+        ((((4,),), 1 / 24.0), (((3,), (3,)), 1 * 1 / 72.0)),
+    ),
+    2: (
+        (
+            (((0, 3),), 1 / 6.0),
+            (((1, 2),), 3 / 6.0),
+            (((2, 1),), 3 / 6.0),
+            (((3, 0),), 1 / 6.0),
+        ),
+        (
+            (((0, 4),), 1 / 24.0),
+            (((1, 3),), 4 / 24.0),
+            (((2, 2),), 6 / 24.0),
+            (((3, 1),), 4 / 24.0),
+            (((4, 0),), 1 / 24.0),
+            (((0, 3), (0, 3)), 1 * 1 / 72.0),
+            (((0, 3), (1, 2)), 1 * 3 / 72.0),
+            (((0, 3), (2, 1)), 1 * 3 / 72.0),
+            (((0, 3), (3, 0)), 1 * 1 / 72.0),
+            (((1, 2), (0, 3)), 3 * 1 / 72.0),
+            (((1, 2), (1, 2)), 3 * 3 / 72.0),
+            (((1, 2), (2, 1)), 3 * 3 / 72.0),
+            (((1, 2), (3, 0)), 3 * 1 / 72.0),
+            (((2, 1), (0, 3)), 3 * 1 / 72.0),
+            (((2, 1), (1, 2)), 3 * 3 / 72.0),
+            (((2, 1), (2, 1)), 3 * 3 / 72.0),
+            (((2, 1), (3, 0)), 3 * 1 / 72.0),
+            (((3, 0), (0, 3)), 1 * 1 / 72.0),
+            (((3, 0), (1, 2)), 1 * 3 / 72.0),
+            (((3, 0), (2, 1)), 1 * 3 / 72.0),
+            (((3, 0), (3, 0)), 1 * 1 / 72.0),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_expansion_terms_reproduce_order2_list(d):
+    # bit for bit: the shift ledger and density_q2 walk these terms
+    assert ew._expansion_terms(d, 2) == ORDER2_TERMS[d]
+    assert ew._expansion_terms(d, 4)[:2] == ORDER2_TERMS[d]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("top", [3, 4, 5])
+def test_zero_table_gives_phi_exactly(d, top):
+    entries = {a.entries: 0.0 for w in range(3, top + 1) for a in ew.multi_indices(d, w)}
+    table = ew.CumulantTable(d=d, N=1.0, entries=entries)
+    x = [0.7, -1.3][:d]
+    assert len(table.series) == top - 2
+    assert ew._expansion_density(table.series, x, 3.0) == ew.gaussian_density(x)
+    if d == 1:
+        p = ew.EdgeworthDensity1D(order=top, chi3=0.0, chi4=0.0, chi5=0.0, N=3.0)
+        assert ew.density_1d(p, x[0]) == ew.gaussian_density(x)
+
+
+#: a cumulant in [-3, 3] away from the underflow range, where a product of
+#: two or three loses the bits that a relative tolerance needs
+cumulants = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+points = st.floats(-8.0, 8.0, allow_subnormal=False)
+
+
+def fit_cdf_reference(lam3, lam4, s, h=ew.hermite):
+    """The hand-written CDF correction of the fit, one value per term."""
+    return [lam3 / 6.0 * h(2, s), lam4 / 24.0 * h(3, s), lam3**2 / 72.0 * h(5, s)]
+
+
+@given(cumulants, cumulants, points)
+@settings(max_examples=100, deadline=None)
+def test_cdf_correction_matches_hand_form(lam3, lam4, s):
+    table = ew.CumulantTable(d=1, N=1.0, entries={(3,): lam3, (4,): lam4})
+    scale = sum(fit_cdf_reference(abs(lam3), abs(lam4), s, abs_hermite))
+    assert abs(ew.cdf_correction(table, s) - sum(fit_cdf_reference(lam3, lam4, s))) <= (
+        1e-12 * scale
+    )
 
 
 #: the expectation-shift constants with the Kac-Rice roles of the value and
@@ -273,6 +365,31 @@ class TestDensity1D:
         p = ew.EdgeworthDensity1D(order=order, chi3=0.9, chi4=-1.4, chi5=2.2, N=9.0)
         mass, _ = quad(lambda x: ew.density_1d(p, x), -14, 14, limit=400)
         assert abs(mass - 1.0) < 1e-9
+
+    @staticmethod
+    def hand_terms(order, chi3, chi4, chi5, n_norm, x, h=ew.hermite):
+        """The hand-written orders 3-5 of the density, one value per term."""
+        rn = 1.0 / math.sqrt(n_norm)
+        terms = [rn * (chi3 / 6.0) * h(3, x)]
+        if order >= 4:
+            terms += [rn**2 * (chi4 / 24.0) * h(4, x), rn**2 * (chi3**2 / 72.0) * h(6, x)]
+        if order >= 5:
+            terms += [
+                rn**3 * (chi5 / 120.0) * h(5, x),
+                rn**3 * (chi3 * chi4 / 144.0) * h(7, x),
+                rn**3 * (chi3**3 / 1296.0) * h(9, x),
+            ]
+        return terms
+
+    @given(st.sampled_from([3, 4, 5]), st.lists(cumulants, min_size=3, max_size=3),
+           st.floats(1.0, 50.0), points)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_hand_orders(self, order, chis, n_norm, x):
+        p = ew.EdgeworthDensity1D(order, *chis, n_norm)
+        body = 1.0 + sum(self.hand_terms(order, *chis, n_norm, x))
+        scale = 1.0 + sum(self.hand_terms(order, *map(abs, chis), n_norm, x, abs_hermite))
+        phi_x = float(phi(x))
+        assert abs(ew.density_1d(p, x) - body * phi_x) <= 1e-12 * scale * phi_x
 
     def test_order_validation(self):
         with pytest.raises(ConfigError):
@@ -342,33 +459,20 @@ def test_assembled_coefficients_match_closed_forms():
 
 
 def test_correction_gaussian_zero():
-    a, c = ew.expectation_correction(1.0, 3.0, dists.gaussian())
-    assert a == 0.0 and c == 0.0
+    assert ew.correction_constant(dists.gaussian()) == 0.0
 
 
 def test_correction_rademacher_log2():
-    a, c = ew.expectation_correction(1.0, 2.0, dists.rademacher())
-    expect = (7 / (96 * math.pi * math.sqrt(math.pi))) * math.log(2.0)
-    assert c == pytest.approx(expect, rel=1e-14)
-    assert a == pytest.approx(expect, rel=1e-10)
+    # E xi^4 - 3 = -2 and E xi^3 = 0: the shift over one octave is 7 log 2/(96 pi^1.5)
+    shift = ew.correction_constant(dists.rademacher()) * math.log(2.0)
+    assert shift == pytest.approx(7 / (96 * math.pi * math.sqrt(math.pi)) * math.log(2.0),
+                                  rel=1e-14)
 
 
 def test_correction_skew_contribution():
     d = dists.discrete_sym([-1.0, 0.0, 3.0], [0.45, 0.4, 0.15])
-    a, c = ew.expectation_correction(2.0, 5.0, d)
     expect = (
-        ew.K4_COEFF * (d.m4 - 3.0) + ew.K3SQ_COEFF * d.m3**2
-    ) * math.log(2.5)
-    assert c == pytest.approx(expect, rel=1e-14)
-    assert a == pytest.approx(c, rel=1e-10)
-
-
-def test_correction_validates_interval():
-    with pytest.raises(ConfigError):
-        ew.expectation_correction(2.0, 1.0, dists.gaussian())
-
-
-def test_assembly_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(ew, "K4_COEFF", ew.K4_COEFF * 1.01)
-    with pytest.raises(AssemblyError):
-        ew.expectation_correction(1.0, 2.0, dists.rademacher())
+        -7 / 192 * (d.m4 - 3.0) + math.sqrt(2.0) / 12 * d.m3**2
+    ) / (math.pi * math.sqrt(math.pi))
+    assert d.m3 != 0.0
+    assert ew.correction_constant(d) == pytest.approx(expect, rel=1e-14)
